@@ -41,6 +41,17 @@ def _emit_table(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _size(text: str) -> int:
+    """argparse type for vertex counts, magic sums and orders."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _parse_loops(text: str, n: int) -> tuple[int, ...]:
     parts = [p for p in text.split(",") if p != ""]
     values = tuple(int(p) for p in parts)
@@ -223,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     shape = p_count.add_mutually_exclusive_group(required=True)
     shape.add_argument("--line", action="store_true")
     shape.add_argument("--cycle", action="store_true")
-    p_count.add_argument("-n", type=int, required=True, help="number of vertices")
-    p_count.add_argument("-m", type=int, default=2, help="loops per vertex (line)")
+    p_count.add_argument("-n", type=_size, required=True, help="number of vertices")
+    p_count.add_argument("-m", type=_size, default=2, help="loops per vertex (line)")
     p_count.add_argument("-k", dest="loops", default="2", help="loop vector, e.g. 1,2,1 (cycle)")
-    p_count.add_argument("--s-max", type=int, default=8)
+    p_count.add_argument("--s-max", type=_size, default=8)
     p_count.add_argument("--brute", action="store_true", help="use the enumeration oracle")
     p_count.add_argument("--brute-cap", type=int, default=10, help="max edge variables for --brute")
     p_count.add_argument("--brute-s-cap", type=int, default=8, help="max magic sum for --brute")
@@ -235,40 +246,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="certify the identity catalog")
     p_verify.add_argument("--all", action="store_true", help="check every identity (default)")
     p_verify.add_argument("--id", action="append", choices=sorted(recurrences.CATALOG), help="check one identity")
-    p_verify.add_argument("--n-max", type=int, default=12)
+    p_verify.add_argument("--n-max", type=_size, default=12)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_table = sub.add_parser("table", parents=[common], help="numerators of magic-sum series")
     which = p_table.add_mutually_exclusive_group(required=True)
     which.add_argument("--el", action="store_true", help="pseudo-line rows")
     which.add_argument("--ec", action="store_true", help="pseudo-cycle rows")
-    p_table.add_argument("-n", type=int, default=None)
-    p_table.add_argument("--n-max", type=int, default=4)
-    p_table.add_argument("--order", type=int, default=None)
+    p_table.add_argument("-n", type=_size, default=None)
+    p_table.add_argument("--n-max", type=_size, default=4)
+    p_table.add_argument("--order", type=_size, default=None)
     p_table.set_defaults(handler=_cmd_table)
 
     p_fit = sub.add_parser("fit", parents=[common], help="fit phi(s) + (-1)^s psi to cycle counts")
     p_fit.add_argument("--cycle", action="store_true", help="accepted for symmetry; fits are cycles")
-    p_fit.add_argument("-n", type=int, required=True)
+    p_fit.add_argument("-n", type=_size, required=True)
     p_fit.add_argument("-k", dest="loops", required=True)
-    p_fit.add_argument("--holdout", type=int, default=10)
+    p_fit.add_argument("--holdout", type=_size, default=10)
     p_fit.set_defaults(handler=_cmd_fit)
 
     p_series = sub.add_parser("series", parents=[common], help="series expansions")
     shape = p_series.add_mutually_exclusive_group(required=True)
     shape.add_argument("--line", action="store_true")
     shape.add_argument("--cycle", action="store_true")
-    p_series.add_argument("-s", type=int, default=None, help="magic sum (series in the vertex count)")
-    p_series.add_argument("-n", type=int, default=None, help="vertices (series in the magic sum)")
+    p_series.add_argument("-s", type=_size, default=None, help="magic sum (series in the vertex count)")
+    p_series.add_argument("-n", type=_size, default=None, help="vertices (series in the magic sum)")
     p_series.add_argument("-k", dest="loops", default=None)
-    p_series.add_argument("--order", type=int, default=8)
+    p_series.add_argument("--order", type=_size, default=8)
     p_series.set_defaults(handler=_cmd_series)
 
     p_poly = sub.add_parser("polytope", parents=[common], help="vertices and stable sets")
-    p_poly.add_argument("-n", type=int, required=True)
+    p_poly.add_argument("-n", type=_size, required=True)
     p_poly.add_argument("--stable", action="store_true", help="list stable sets instead")
     p_poly.add_argument("--hyperplane", action="store_true", help="only the slice vertices")
-    p_poly.add_argument("--series", type=int, default=None, help="simplex series to this order")
+    p_poly.add_argument("--series", type=_size, default=None, help="simplex series to this order")
     p_poly.set_defaults(handler=_cmd_polytope)
 
     return parser

@@ -14,17 +14,25 @@ are supported:
 Loops absorb slack: for fixed adjacent ring/chain labels b, b' the loop
 labels at a vertex with k loops contribute C(s-b-b'+k-1, k-1) choices
 (stars and bars), with the k = 0 convention that the binomial is 1 when
-the slack is 0 and 0 otherwise (the loop-free equality constraint).  The
-fast counters below run a dynamic program over the chain of non-loop
-labels; ``brute_force_count`` enumerates every edge labeling one by one
-and is the independent oracle the closed forms are tested against.
+the slack is 0 and 0 otherwise (the loop-free equality constraint).
+
+The fast counters run a dynamic program over the chain of non-loop
+labels, one vertex at a time.  Since C(j+k-1, k-1) is the k-fold prefix
+sum of a point mass at 0, one vertex step is k prefix sums of the state
+read back in reverse, new[b'] = (P^k state)[s - b'], which costs O(k*s)
+instead of the O(s^2) of the direct convolution.  A line of n vertices
+then costs O(n*k*s) at each s, and a ring, which repeats the walk from
+each of the s + 1 values of its first edge, O(n*k*s^2).
+``brute_force_count`` enumerates every edge labeling one by one and is
+the independent oracle the fast counters are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class LengthMismatch(ValueError):
@@ -44,6 +52,27 @@ def loop_ways(slack: int, k: int) -> int:
     return comb(slack + k - 1, k - 1)
 
 
+def _step(state: list[int], k: int) -> list[int]:
+    """One vertex with k loops: new[b'] = sum_b state[b] * loop_ways(s - b - b', k).
+
+    The kernel loop_ways(j, k) is the k-fold prefix sum of a point mass
+    at j = 0, so the sum is (P^k state)[s - b'] for the prefix-sum
+    operator P, where s + 1 is the length of ``state``.
+    """
+    for _ in range(k):
+        state = list(accumulate(state))
+    return state[::-1]
+
+
+def _count_chain(loops: Iterable[int], s: int) -> int:
+    """Line count for per-vertex loop counts; no vertices gives s + 1."""
+    # state[b] = number of partial labelings with current chain label b
+    state = [1] * (s + 1)
+    for k in loops:
+        state = _step(state, k)
+    return sum(state)
+
+
 def count_line(n: int, m: int, s: int) -> int:
     """Magic labelings of the n-vertex pseudo-line with m loops per vertex.
 
@@ -52,16 +81,7 @@ def count_line(n: int, m: int, s: int) -> int:
     """
     if n < 0 or m < 0 or s < 0:
         raise ValueError("arguments must be nonnegative")
-    if n == 0:
-        return s + 1
-    # state[b] = number of partial labelings with current chain label b
-    state = [1] * (s + 1)
-    for _vertex in range(n):
-        state = [
-            sum(state[b] * loop_ways(s - b - b2, m) for b in range(s + 1 - b2))
-            for b2 in range(s + 1)
-        ]
-    return sum(state)
+    return _count_chain(repeat(m, n), s)
 
 
 def count_cycle(n: int, loops: Sequence[int], s: int) -> int:
@@ -85,13 +105,11 @@ def count_cycle(n: int, loops: Sequence[int], s: int) -> int:
     total = 0
     for b0 in range(s + 1):
         # walk the ring from edge 0 back around to edge 0
-        state = [loop_ways(s - b0 - b, loops[0]) for b in range(s + 1)]
-        for vertex in range(1, n - 1):
-            state = [
-                sum(state[b] * loop_ways(s - b - b2, loops[vertex]) for b in range(s + 1 - b2))
-                for b2 in range(s + 1)
-            ]
-        total += sum(state[b] * loop_ways(s - b - b0, loops[n - 1]) for b in range(s + 1))
+        state = [0] * (s + 1)
+        state[b0] = 1
+        for k in loops:
+            state = _step(state, k)
+        total += state[b0]
     return total
 
 
@@ -128,12 +146,13 @@ class GraphSpec:
 
     def count(self, s: int) -> int:
         """Fast DP count for this instance."""
-        if self.kind == "line":
-            ms = set(self.loops)
-            if len(ms) > 1:
-                raise ValueError("fast line counting assumes a uniform loop count")
+        if self.kind == "cycle":
+            return count_cycle(self.n, self.loops, s)
+        if len(set(self.loops)) <= 1:
             return count_line(self.n, self.loops[0] if self.loops else 0, s)
-        return count_cycle(self.n, self.loops, s)
+        if s < 0:
+            raise ValueError("magic sum must be nonnegative")
+        return _count_chain(self.loops, s)
 
     def incidence(self) -> tuple[int, list[list[int]]]:
         """Edge count and, per vertex, incident edge indices with multiplicity.

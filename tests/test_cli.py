@@ -51,6 +51,45 @@ def test_count_bad_loop_vector_is_usage_error(capsys):
     assert "loop vector" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("count", "--cycle", "-n", "3", "--s-max", "-1"), "--s-max"),
+        (("count", "--line", "-n", "-2"), "-n"),
+        (("count", "--line", "-n", "2", "-m", "-1"), "-m"),
+        (("table", "--ec", "-n", "-1"), "-n"),
+        (("table", "--el", "--n-max", "-1"), "--n-max"),
+        (("table", "--el", "-n", "2", "--order", "-1"), "--order"),
+        (("verify", "--n-max", "-1"), "--n-max"),
+        (("fit", "-n", "-1", "-k", "1"), "-n"),
+        (("fit", "-n", "2", "-k", "1", "--holdout", "-1"), "--holdout"),
+        (("series", "--cycle", "-s", "-1"), "-s"),
+        (("series", "--cycle", "-s", "2", "--order", "-1"), "--order"),
+        (("series", "--cycle", "-n", "-1", "-k", "1"), "-n"),
+        (("polytope", "-n", "-1"), "-n"),
+        (("polytope", "-n", "3", "--series", "-1"), "--series"),
+    ],
+)
+def test_negative_sizes_are_usage_errors(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: must be nonnegative, got -" in err
+
+
+def test_non_integer_size_is_usage_error(capsys):
+    code, out, err = run(capsys, "count", "--cycle", "-n", "3", "--s-max", "x")
+    assert code == 2
+    assert out == ""
+    assert "argument --s-max: invalid int value: 'x'" in err
+
+
+def test_zero_sizes_are_accepted(capsys):
+    code, out, _ = run(capsys, "count", "--cycle", "-n", "3", "-k", "1", "--s-max", "0", "--format", "csv")
+    assert code == 0
+    assert out == "s,count\n0,1\n"
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "--all", "--n-max", "10")
     assert code == 0

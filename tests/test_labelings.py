@@ -5,7 +5,7 @@ import json
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magiccount.labelings import (
@@ -101,6 +101,48 @@ def test_cycle_counter_agrees_with_enumeration(n):
         spec = GraphSpec.cycle(n, loops)
         for s in range(7):
             assert count_cycle(n, loops, s) == brute_force_count(spec, s, var_cap=12)
+
+
+def test_non_uniform_line_counts():
+    # vertex 0 has no loops, so its right label is s minus its left label;
+    # vertex 1 then leaves slack b0 for its single loop and the free end
+    spec = GraphSpec("line", 2, (0, 1))
+    assert [spec.count(s) for s in range(5)] == [1, 3, 6, 10, 15]
+    with pytest.raises(ValueError):
+        spec.count(-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["line", "cycle"]),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=5),
+    st.integers(min_value=0, max_value=8),
+)
+def test_fast_counters_agree_with_enumeration(kind, loops, s):
+    n = len(loops)
+    assume(kind == "line" or n >= 1)
+    spec = GraphSpec(kind, n, tuple(loops))
+    assume(spec.incidence()[0] <= 10)  # the default brute-force caps
+    expected = brute_force_count(spec, s)
+    assert spec.count(s) == expected
+    if kind == "cycle":
+        assert count_cycle(n, loops, s) == expected
+    elif len(set(loops)) <= 1:
+        assert count_line(n, loops[0] if loops else 0, s) == expected
+
+
+# Recorded from the direct O(s^2)-per-vertex convolution DP that the
+# prefix-sum kernel replaced.
+@pytest.mark.parametrize(
+    "count, args, expected",
+    [
+        (count_cycle, (3, (0, 3, 1), 76), 810940),
+        (count_cycle, (6, (2, 2, 1, 0, 1, 3), 46), 2802546737060),
+        (count_line, (10, 3, 80), 4683208741114852347504706089919236973548328670916),
+    ],
+)
+def test_large_s_golden_values(count, args, expected):
+    assert count(*args) == expected
 
 
 @pytest.mark.parametrize("n", range(0, 9))
