@@ -53,14 +53,16 @@ def _size(text: str) -> int:
 
 
 def _parse_loops(text: str, n: int) -> tuple[int, ...]:
-    parts = [p for p in text.split(",") if p != ""]
-    values = tuple(int(p) for p in parts)
+    try:
+        values = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"argument -k: expected comma-separated integers, got {text!r}") from None
     if len(values) == 1 and n > 1:
         values = values * n
     if len(values) != n:
-        raise ValueError(f"loop vector length {len(values)} does not match n={n}")
+        raise ValueError(f"argument -k: loop vector length {len(values)} does not match n={n}")
     if any(v < 0 for v in values):
-        raise ValueError("loop counts must be nonnegative")
+        raise ValueError("argument -k: loop counts must be nonnegative")
     return values
 
 
@@ -91,6 +93,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = args.id if args.id else list(recurrences.CATALOG)
+    latest = max(ids, key=lambda identity_id: recurrences.CATALOG[identity_id].min_index)
+    first = recurrences.CATALOG[latest].min_index
+    if args.n_max < first:
+        raise ValueError(f"argument --n-max: {args.n_max} is below the first index {first} of identity {latest}")
     reports = [recurrences.verify_identity(identity_id, stop=args.n_max) for identity_id in ids]
     if args.format == "json":
         payload = {
@@ -239,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("-k", dest="loops", default="2", help="loop vector, e.g. 1,2,1 (cycle)")
     p_count.add_argument("--s-max", type=_size, default=8)
     p_count.add_argument("--brute", action="store_true", help="use the enumeration oracle")
-    p_count.add_argument("--brute-cap", type=int, default=10, help="max edge variables for --brute")
-    p_count.add_argument("--brute-s-cap", type=int, default=8, help="max magic sum for --brute")
+    p_count.add_argument("--brute-cap", type=_size, default=10, help="max edge variables for --brute")
+    p_count.add_argument("--brute-s-cap", type=_size, default=8, help="max magic sum for --brute")
     p_count.set_defaults(handler=_cmd_count)
 
     p_verify = sub.add_parser("verify", parents=[common], help="certify the identity catalog")

@@ -80,7 +80,6 @@ class NumeratorReport:
     one_minus_x_power: int
     has_one_plus_x: bool
     numerator: Poly
-    stabilized: bool
     order: int
 
     def coefficients(self) -> tuple[int, ...]:
@@ -153,7 +152,6 @@ def ehrhart_numerator(kind: str, n: int, order: int | None = None) -> NumeratorR
         one_minus_x_power=power,
         has_one_plus_x=plus,
         numerator=clear_poles(series, factor),
-        stabilized=True,
         order=order,
     )
 
@@ -176,10 +174,6 @@ class QuasiPoly:
             acc += c * power
             power *= s
         return acc + (self.psi if s % 2 == 0 else -self.psi)
-
-    @property
-    def phi_degree(self) -> int:
-        return Poly(self.phi).degree
 
     def closed_form(self) -> tuple[Poly, Poly]:
         """Exact rational generating function Sum h(s) t^s = N(t) / D(t).

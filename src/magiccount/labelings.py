@@ -243,11 +243,6 @@ class CountTable:
     def rows(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.counts.items()))
 
-    def to_csv(self) -> str:
-        lines = ["s,count"]
-        lines += [f"{s},{value}" for s, value in self.rows()]
-        return "\n".join(lines) + "\n"
-
     def to_json_obj(self) -> Mapping[str, object]:
         return {
             "kind": self.spec.kind,

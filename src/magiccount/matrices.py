@@ -11,10 +11,11 @@ Three matrix families drive the closed-form counts:
   corner entry (1 in one family, 2 in the other).
 
 Determinants over the integers use fraction-free Bareiss elimination.
-Determinants of matrices whose entries are linear in a variable y, such
-as det(I - yM) and det(yI - M), are recovered by evaluating at n+1
-integer points and interpolating, with an integrality check on the
-result; the degree bounds are known a priori so this is exact.
+``char_poly`` recovers det(yI - M) by evaluating at n+1 integer points
+and interpolating, with an integrality check; the degree bound is known
+a priori so this is exact.  det(I - yM) = y^n det(y^-1 I - M) is its
+coefficient reversal.  The bordered-determinant sweep of
+``adjugate_allones_form`` is the reference the tests check against.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ class Matrix:
     def entry_sum(self) -> int:
         """Sum of all entries, i.e. the quadratic form with the all-ones vector."""
         return sum(sum(row) for row in self.rows)
-
-    def to_json(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self.rows]
 
 
 # -- the structured families ------------------------------------------------
@@ -181,7 +179,6 @@ def det(m: Matrix) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-            work[i][k] = 0
         prev = work[k][k]
     return sign * work[n - 1][n - 1]
 
@@ -210,13 +207,12 @@ def char_poly(m: Matrix) -> Poly:
 
 
 def det_identity_minus_y(m: Matrix) -> Poly:
-    """det(I - yM) as an exact integer polynomial of degree <= n."""
-    n = m.order
-    values = []
-    for point in range(n + 1):
-        shifted = Matrix([[int(i == j) - point * m.rows[i][j] for j in range(n)] for i in range(n)])
-        values.append((point, det(shifted)))
-    return _interpolate_integral(values)
+    """det(I - yM) as an exact integer polynomial of degree <= n.
+
+    The coefficient reversal of ``char_poly(m)``; for a singular M the
+    zero constant term becomes a stripped leading zero.
+    """
+    return Poly(reversed(char_poly(m).coeffs))
 
 
 def adjugate_allones_form(m: Matrix) -> Poly:

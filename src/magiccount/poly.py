@@ -183,10 +183,6 @@ class Poly:
         return self.coeffs == tuple(reversed(self.coeffs))
 
 
-#: The bare indeterminate, for building polynomials by arithmetic.
-X = Poly((0, 1))
-
-
 def series_quotient(num: Poly, den: Poly, order: int) -> list[Fraction]:
     """First ``order + 1`` Taylor coefficients of num/den at the origin.
 

@@ -9,8 +9,12 @@ seeded so that ``gf_numerator(s) / gf_denominator(s)`` is the generating
 function, in the size variable, of pseudo-line counts with two loops per
 vertex at magic sum s.  The same polynomials arise on the matrix side:
 the denominator family equals det(I - yB) for the order-(s+1) transfer
-matrix B, and the numerator family equals the all-ones adjugate form of
-the same matrix (the index bridge, identity ``series-bridge`` below).
+matrix B, and the numerator family equals the all-ones adjugate form
+u^T adj(I - yB) u.  Both come from one characteristic-polynomial sweep
+of B: det(I - yB) is its reversal, and by the matrix determinant lemma
+the form is det(I - yB) times the resolvent series Sum_k (u^T B^k u) y^k,
+whose moments are DP line counts.  So identity ``series-bridge`` below
+certifies the recurrence-family quotient against the DP line counts.
 
 Every identity is certified by exact polynomial equality over a finite
 index range; a nonzero difference polynomial is reported, never rounded
@@ -23,15 +27,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+from .labelings import count_line
 from .matrices import (
-    adjugate_allones_form,
     char_poly,
     det_identity_minus_y,
     mirror_tridiagonal,
     transfer_inverse,
     transfer_matrix,
 )
-from .poly import Poly
+from .poly import Poly, series_poly_product
 
 Y = Poly((0, 1))
 
@@ -93,8 +97,12 @@ def _resolvent_det(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _allones_form(n: int) -> Poly:
-    """u^T adj(I - yB) u for the order-n transfer matrix B."""
-    return adjugate_allones_form(transfer_matrix(n - 1))
+    """u^T adj(I - yB) u for the order-n transfer matrix B.
+
+    det(I - yB) Sum_k count_line(k, 2, n - 1) y^k, cut off below degree n.
+    """
+    moments = [count_line(k, 2, n - 1) for k in range(n)]
+    return Poly(series_poly_product(moments, _resolvent_det(n)))
 
 
 def _parity_sign(exponent: int) -> int:
@@ -288,7 +296,8 @@ class IdentityReport:
 
     @property
     def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
+        """True when at least one index was checked and every check held."""
+        return bool(self.checks) and all(c.holds for c in self.checks)
 
     @property
     def first_failure(self) -> Optional[IdentityCheck]:
@@ -315,7 +324,8 @@ class IdentityReport:
 def verify_identity(identity_id: str, stop: int = 12, start: Optional[int] = None) -> IdentityReport:
     """Check one catalog identity for every index in [start, stop].
 
-    Indices below the identity's stated minimum are skipped, not failed.
+    Indices below the identity's stated minimum are skipped, not failed;
+    a range that leaves no index to check does not hold.
     """
     if identity_id not in CATALOG:
         raise UnknownIdentity(identity_id)

@@ -1,9 +1,11 @@
 """Command-line surface: outputs, formats, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from magiccount import genfun
 from magiccount.cli import main
 
 
@@ -52,6 +54,23 @@ def test_count_bad_loop_vector_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--cycle", "-n", "3", "-k", "a,b"),
+        ("count", "--cycle", "-n", "3", "-k", "1,,2"),
+        ("count", "--cycle", "-n", "3", "-k", ""),
+        ("fit", "-n", "2", "-k", "1,x"),
+        ("series", "--cycle", "-n", "2", "-k", "1,", "--order", "2"),
+    ],
+)
+def test_malformed_loop_vector_names_the_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "argument -k: expected comma-separated integers" in err
+
+
+@pytest.mark.parametrize(
     "argv, option",
     [
         (("count", "--cycle", "-n", "3", "--s-max", "-1"), "--s-max"),
@@ -68,6 +87,8 @@ def test_count_bad_loop_vector_is_usage_error(capsys):
         (("series", "--cycle", "-n", "-1", "-k", "1"), "-n"),
         (("polytope", "-n", "-1"), "-n"),
         (("polytope", "-n", "3", "--series", "-1"), "--series"),
+        (("count", "--cycle", "-n", "2", "--brute", "--brute-cap", "-1"), "--brute-cap"),
+        (("count", "--cycle", "-n", "2", "--brute", "--brute-s-cap", "-1"), "--brute-s-cap"),
     ],
 )
 def test_negative_sizes_are_usage_errors(capsys, argv, option):
@@ -100,6 +121,31 @@ def test_verify_single_identity(capsys):
     code, out, _ = run(capsys, "verify", "--id", "inv-eq-mirror1", "--n-max", "6")
     assert code == 0
     assert "inv-eq-mirror1" in out and "6" in out
+
+
+@pytest.mark.parametrize(
+    "argv, identity, first",
+    [
+        (("verify", "--n-max", "2"), "inv-from-mirror2", 5),
+        (("verify", "--id", "form-only-rec", "--n-max", "3", "--format", "json"), "form-only-rec", 5),
+        (("verify", "--id", "inv-eq-mirror1", "--id", "mirror2-only-rec", "--n-max", "4"), "mirror2-only-rec", 5),
+        (("verify", "--id", "inv-eq-mirror1", "--n-max", "0"), "inv-eq-mirror1", 1),
+    ],
+)
+def test_verify_below_first_index_is_usage_error(capsys, argv, identity, first):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "argument --n-max:" in err
+    assert f"below the first index {first} of identity {identity}" in err
+
+
+def test_verify_at_first_index_checks_one(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "form-only-rec", "--n-max", "5", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_hold"] is True
+    assert payload["reports"][0]["checked"] == 1
 
 
 def test_verify_unknown_identity_is_usage_error(capsys):
@@ -140,6 +186,13 @@ def test_fit_match_cases(capsys):
     code, out, _ = run(capsys, "fit", "--cycle", "-n", "1", "-k", "2")
     assert code == 0
     assert "1/8" in out and "MATCH" in out
+
+
+def test_fit_mismatch_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(genfun, "psi_formula", lambda n, loops: Fraction(1, 3))
+    code, out, _ = run(capsys, "fit", "--cycle", "-n", "3", "-k", "1,1,1")
+    assert code == 1
+    assert "MISMATCH" in out and "1/3" in out
 
 
 def test_fit_requires_loops(capsys):

@@ -73,7 +73,6 @@ def test_line_numerator_rows(n, expected):
     assert report.coefficients() == expected
     assert report.one_minus_x_power == 2 * n + 2
     assert not report.has_one_plus_x
-    assert report.stabilized
 
 
 @pytest.mark.parametrize("n, expected", sorted(CYCLE_NUMERATORS.items()))
@@ -82,7 +81,6 @@ def test_cycle_numerator_rows(n, expected):
     assert report.coefficients() == expected
     assert report.one_minus_x_power == (2 if n == 0 else 2 * n + 1)
     assert report.has_one_plus_x == (n % 2 == 1 and n > 0)
-    assert report.stabilized
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -163,7 +161,7 @@ def test_psi_formula_requires_loops_everywhere():
 def test_fits_recover_degree_and_alternating_constant(n):
     for loops in itertools.product((1, 2), repeat=n):
         fit = fit_cycle(n, loops)
-        assert fit.phi_degree == sum(loops)
+        assert Poly(fit.phi).degree == sum(loops)
         assert fit.psi == psi_formula(n, loops)
 
 

@@ -175,7 +175,6 @@ def test_counts_are_nondecreasing_in_s(kind, n, m, s):
 def test_count_table_round_trips():
     table = CountTable.compute(GraphSpec.cycle(1, (2,)), range(4))
     assert list(table.rows()) == [(0, 1), (1, 2), (2, 4), (3, 6)]
-    assert table.to_csv() == "s,count\n0,1\n1,2\n2,4\n3,6\n"
     payload = json.loads(json.dumps(table.to_json_obj()))
     assert payload["counts"]["3"] == "6"
     assert payload["kind"] == "cycle" and payload["loops"] == [2]

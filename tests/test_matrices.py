@@ -149,30 +149,33 @@ def test_adjugate_allones_form_initial_values(order, expected):
     assert adjugate_allones_form(transfer_matrix(order - 1)) == expected
 
 
+def _identity_minus_y(entries):
+    n = len(entries)
+    return [[Poly((int(i == j), -entries[i][j])) for j in range(n)] for i in range(n)]
+
+
+def _poly_det(mat):
+    """Determinant of a matrix of polynomials by cofactor expansion."""
+    if len(mat) == 1:
+        return mat[0][0]
+    total = Poly()
+    for j, lead in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
+        term = lead * _poly_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
 def _adjugate_oracle(entries):
     """u^T adj(I - yM) u by explicit cofactors, for orders 2 and 3."""
     n = len(entries)
-    a = [
-        [Poly((int(i == j), -entries[i][j])) for j in range(n)]
-        for i in range(n)
-    ]
-
-    def poly_det(mat):
-        if len(mat) == 1:
-            return mat[0][0]
-        total = Poly()
-        for j, lead in enumerate(mat[0]):
-            minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-            term = lead * poly_det(minor)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
+    a = _identity_minus_y(entries)
     total = Poly()
     for i in range(n):
         for j in range(n):
             # adj(A)[i][j] is the (j, i) cofactor
             minor = [row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != j]
-            cof = poly_det(minor)
+            cof = _poly_det(minor)
             total = total + (cof if (i + j) % 2 == 0 else -cof)
     return total
 
@@ -190,6 +193,27 @@ def test_adjugate_form_matches_cofactor_oracle(entries):
     assert adjugate_allones_form(Matrix(entries)) == _adjugate_oracle(entries)
 
 
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.booleans(),
+)
+def test_det_identity_minus_y_matches_cofactor_expansion(entries, singular):
+    # the reversal of char_poly must also hold when M is singular and the
+    # degree drops below the order
+    if singular:
+        entries[-1] = [0] * len(entries)
+    expected = _poly_det(_identity_minus_y(entries))
+    assert det_identity_minus_y(Matrix(entries)) == expected
+    if singular:
+        assert expected.degree < len(entries)
+
+
 def test_solve_exact_solves_and_detects_singularity():
     assert solve_exact([[2, 0], [0, 4]], [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
     assert solve_exact([[1, 2], [2, 4]], [1, 2]) is None
@@ -204,7 +228,3 @@ def test_rational_rank():
 def test_det_with_pivoting():
     assert det(Matrix([[0, 1], [1, 0]])) == -1
     assert det(Matrix([[0, 0], [0, 0]])) == 0
-
-
-def test_matrix_json_uses_decimal_strings():
-    assert transfer_matrix(1).to_json() == [["2", "1"], ["1", "0"]]

@@ -2,11 +2,18 @@
 
 import pytest
 
-from magiccount.matrices import char_poly, mirror_tridiagonal, transfer_inverse
+from magiccount.matrices import (
+    adjugate_allones_form,
+    char_poly,
+    mirror_tridiagonal,
+    transfer_inverse,
+    transfer_matrix,
+)
 from magiccount.poly import Poly
 from magiccount.recurrences import (
     CATALOG,
     UnknownIdentity,
+    _allones_form,
     gf_denominator,
     gf_numerator,
     verify_all,
@@ -63,6 +70,13 @@ def test_minimum_indices_are_respected():
     assert report.all_hold
 
 
+def test_range_below_the_minimum_does_not_hold():
+    report = verify_identity("form-only-rec", stop=3)
+    assert report.checks == ()
+    assert not report.all_hold
+    assert report.to_json_obj()["holds"] is False
+
+
 def test_unknown_identity_raises():
     with pytest.raises(UnknownIdentity):
         verify_identity("no-such-identity")
@@ -74,6 +88,11 @@ def test_series_bridge_explicitly():
     for s in range(0, 11):
         assert gf_denominator(s) == det_identity_minus_y(transfer_matrix(s))
         assert gf_numerator(s) == adjugate_allones_form(transfer_matrix(s))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_allones_form_from_line_counts_matches_bordered_determinant(n):
+    assert _allones_form(n) == adjugate_allones_form(transfer_matrix(n - 1))
 
 
 @pytest.mark.parametrize("n", range(5, 13))
