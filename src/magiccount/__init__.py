@@ -58,6 +58,7 @@ from .polytope import (
     simplex_vertices,
     stable_set_sizes,
     stable_sets,
+    stable_sets_of_size,
     vertices,
 )
 from .recurrences import (
@@ -120,6 +121,7 @@ __all__ = [
     "simplex_vertices",
     "stable_set_sizes",
     "stable_sets",
+    "stable_sets_of_size",
     "transfer_inverse",
     "transfer_matrix",
     "verify_all",

@@ -7,7 +7,8 @@ through a 64-bit float.
 
 Exit codes: 0 success, 1 mathematical failure (an identity breaks, a
 table fails to stabilize, a fitted constant misses its prediction),
-2 usage error, 3 brute-force resource cap.
+2 usage error, 3 work budget exceeded (the brute-force caps, the polytope
+listing budget).
 """
 
 from __future__ import annotations
@@ -71,9 +72,11 @@ def _parse_loops(text: str, n: int) -> tuple[int, ...]:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.line:
+        if args.loops is not None:
+            raise ValueError("argument -k: not allowed with argument --line; give loops per vertex with -m")
         spec = labelings.GraphSpec.line(args.n, args.m)
     else:
-        spec = labelings.GraphSpec.cycle(args.n, _parse_loops(args.loops, args.n))
+        spec = labelings.GraphSpec.cycle(args.n, _parse_loops("2" if args.loops is None else args.loops, args.n))
     s_values = range(args.s_max + 1)
     if args.brute:
         counts = {
@@ -164,6 +167,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.s is not None:
+        for option, value in (("-n", args.n), ("-k", args.loops)):
+            if value is not None:
+                raise ValueError(f"argument {option}: not allowed with argument -s")
         if args.line:
             coeffs = genfun.line_series_in_y(args.s, args.order)
             label = "line counts by vertex count"
@@ -189,7 +195,26 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_polytope_size(args: argparse.Namespace) -> None:
+    """Reject sizes the requested listing cannot take, before any work."""
+    n = args.n
+    if args.series is None and n < 3:
+        raise ValueError(f"argument -n: the cycle needs n >= 3, got {n}")
+    if (args.hyperplane or args.series is not None) and n % 2 == 0:
+        mode = "--hyperplane" if args.hyperplane else "--series"
+        raise ValueError(f"argument -n: {mode} needs odd n, got {n}")
+    if args.series is not None:
+        return
+    sets = n if args.hyperplane else sum(polytope.kaplansky_count(n, k) for k in range(n // 2 + 1))
+    if sets * n > polytope.MAX_LISTED_CELLS:
+        raise labelings.InstanceTooLarge(
+            f"argument -n: listing {sets} sets for n={n} exceeds the work budget "
+            f"(sets times n is {sets * n}, more than {polytope.MAX_LISTED_CELLS})"
+        )
+
+
 def _cmd_polytope(args: argparse.Namespace) -> int:
+    _check_polytope_size(args)
     if args.stable:
         sets = polytope.stable_sets(args.n)
         if args.format == "json":
@@ -242,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--cycle", action="store_true")
     p_count.add_argument("-n", type=_size, required=True, help="number of vertices")
     p_count.add_argument("-m", type=_size, default=2, help="loops per vertex (line)")
-    p_count.add_argument("-k", dest="loops", default="2", help="loop vector, e.g. 1,2,1 (cycle)")
+    p_count.add_argument("-k", dest="loops", default=None, help="loop vector, e.g. 1,2,1 (cycle; default 2)")
     p_count.add_argument("--s-max", type=_size, default=8)
     p_count.add_argument("--brute", action="store_true", help="use the enumeration oracle")
     p_count.add_argument("--brute-cap", type=_size, default=10, help="max edge variables for --brute")
@@ -283,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("polytope", parents=[common], help="vertices and stable sets")
     p_poly.add_argument("-n", type=_size, required=True)
-    p_poly.add_argument("--stable", action="store_true", help="list stable sets instead")
-    p_poly.add_argument("--hyperplane", action="store_true", help="only the slice vertices")
-    p_poly.add_argument("--series", type=_size, default=None, help="simplex series to this order")
+    listing = p_poly.add_mutually_exclusive_group()
+    listing.add_argument("--stable", action="store_true", help="list stable sets instead")
+    listing.add_argument("--hyperplane", action="store_true", help="only the slice vertices")
+    listing.add_argument("--series", type=_size, default=None, help="simplex series to this order")
     p_poly.set_defaults(handler=_cmd_polytope)
 
     return parser

@@ -40,7 +40,12 @@ class LengthMismatch(ValueError):
 
 
 class InstanceTooLarge(ValueError):
-    """Brute-force enumeration refused; raise the caps to force it."""
+    """Work refused before it starts: the instance exceeds a work budget.
+
+    Raised for brute-force enumeration beyond its caps (raise the caps to
+    force it) and, by the command line, for polytope listings beyond
+    ``polytope.MAX_LISTED_CELLS``.
+    """
 
 
 def loop_ways(slack: int, k: int) -> int:

@@ -247,7 +247,13 @@ def interpolate(points: Sequence[tuple[int, Coeff]]) -> Poly:
 
 
 def coeff_to_str(value: Coeff) -> str:
-    """Decimal string for ints, 'p/q' for proper rationals."""
+    """Decimal string for ints, 'p/q' for proper rationals.
+
+    >>> [coeff_to_str(v) for v in (7, Fraction(4, 2), Fraction(-3, 4), True)]
+    ['7', '2', '-3/4', '1']
+    """
+    if type(value) is int:  # exact type: bools take the int() path below
+        return str(value)
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
     return str(int(value))

@@ -10,6 +10,11 @@ fractional vertex together with the vertices of the maximum stable sets
 spans a simplex whose lattice-point series 1 / ((1-t)^n (1-t^2)) carries
 the entire pole at t = -1.
 
+Stable sets are generated size by size, so every routine costs what it
+returns: the size-k sets come straight from k-combinations (Kaplansky's
+bijection), never from a scan of all 2^n subsets, and the slice vertices
+are built from the maximum stable sets alone.
+
 Everything here is exact: vertices are tuples of ints and Fractions,
 independence is a rational rank computation, and the series expansion is
 an exact quotient.
@@ -19,56 +24,84 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
+from operator import add, or_
 from typing import Optional
 
 from .matrices import rational_rank
 from .poly import Coeff, Poly, coeff_to_str, series_quotient
 
 
+#: Work budget for listing stable sets or vertices, in sets listed times the
+#: cycle length n.  A vertex holds 2n coordinates and a stable set at most
+#: n/2 members, so this bounds a listing's time and memory to a factor of 2.
+MAX_LISTED_CELLS = 10**7
+
+
 class EvenN(ValueError):
     """Operation is defined for odd cycle lengths only."""
+
+
+def _check_cycle(n: int) -> None:
+    if n < 3:
+        raise ValueError("cycle stable sets need n >= 3")
+
+
+def _path_sets(first: int, last: int, k: int) -> list[tuple[int, ...]]:
+    """Size-k sets of first..last with no two consecutive, in lexicographic order.
+
+    Subtracting i from the i-th member maps them, in order, onto the
+    k-combinations of first..last-k+1.
+    """
+    gaps = range(k)
+    return [tuple(map(add, c, gaps)) for c in combinations(range(first, last - k + 2), k)]
+
+
+def stable_sets_of_size(n: int, k: int) -> list[tuple[int, ...]]:
+    """The size-k stable sets of the n-cycle, as sorted tuples in lexicographic order.
+
+    Sets holding vertex 0 come first; 0 rules out its neighbours 1 and n-1.
+    """
+    _check_cycle(n)
+    if k == 0:
+        return [()]
+    with_zero = [(0,) + s for s in _path_sets(2, n - 2, k - 1)]
+    return with_zero + _path_sets(1, n - 1, k)
 
 
 def stable_sets(n: int) -> list[tuple[int, ...]]:
     """All stable sets of the n-cycle, as sorted vertex tuples.
 
     Includes the empty set.  Vertices are 0-based and adjacency wraps,
-    so i and (i+1) mod n can never both appear.
+    so i and (i+1) mod n can never both appear.  Ordered by size, then
+    lexicographically.
     """
-    if n < 3:
-        raise ValueError("cycle stable sets need n >= 3")
-    found = []
-    for mask in range(1 << n):
-        if any(mask >> i & 1 and mask >> ((i + 1) % n) & 1 for i in range(n)):
-            continue
-        found.append(tuple(i for i in range(n) if mask >> i & 1))
-    found.sort(key=lambda s: (len(s), s))
-    return found
+    _check_cycle(n)
+    return [s for k in range(n // 2 + 1) for s in stable_sets_of_size(n, k)]
 
 
 def stable_set_sizes(n: int) -> dict[int, int]:
     """Number of stable sets of each size, by enumeration."""
-    sizes: dict[int, int] = {}
-    for s in stable_sets(n):
-        sizes[len(s)] = sizes.get(len(s), 0) + 1
-    return sizes
+    _check_cycle(n)
+    return {k: len(stable_sets_of_size(n, k)) for k in range(n // 2 + 1)}
 
 
 def kaplansky_count(n: int, k: int) -> int:
-    """Closed-form number of size-k stable sets of the n-cycle."""
+    """Closed-form number of size-k stable sets of the n-cycle.
+
+    C(n-k, k) sets avoid vertex 0 and C(n-k-1, k-1) contain it.
+    """
     if k == 0:
         return 1
     if k > n // 2:
         return 0
-    assert (n * comb(n - k, k)) % (n - k) == 0
-    return n * comb(n - k, k) // (n - k)
+    return comb(n - k, k) + comb(n - k - 1, k - 1)
 
 
 def max_stable_count(n: int) -> int:
     """Number of maximum stable sets, counted by enumeration."""
-    sizes = stable_set_sizes(n)
-    return sizes[max(sizes)]
+    return len(stable_sets_of_size(n, n // 2))
 
 
 @dataclass(frozen=True)
@@ -96,11 +129,14 @@ class Vertex:
 
     def check(self) -> None:
         """Defining equalities and nonnegativity, exactly."""
-        n = len(self.beta)
-        for i in range(n):
-            if self.beta[i] + self.alpha[i] + self.beta[(i + 1) % n] != 1:
-                raise AssertionError(f"vertex violates ring equation at {i}")
-        if any(c < 0 for c in self.coordinates()):
+        beta = self.beta
+        if len(self.alpha) != len(beta):
+            raise AssertionError("vertex has unequal numbers of loop and ring coordinates")
+        ring = list(map(add, map(add, beta, self.alpha), beta[1:] + beta[:1]))
+        if ring.count(1) != len(ring):
+            i = next(i for i, total in enumerate(ring) if total != 1)
+            raise AssertionError(f"vertex violates ring equation at {i}")
+        if min(self.coordinates(), default=0) < 0:
             raise AssertionError("vertex has a negative coordinate")
 
     def to_json_obj(self) -> dict[str, object]:
@@ -112,12 +148,12 @@ class Vertex:
 
 
 def vertex_for_stable_set(n: int, support: tuple[int, ...]) -> Vertex:
-    members = set(support)
-    beta = tuple(1 if i in members else 0 for i in range(n))
-    alpha = tuple(
-        0 if (i in members or (i + 1) % n in members) else 1 for i in range(n)
-    )
-    return Vertex(alpha=alpha, beta=beta, support=tuple(sorted(support)))
+    beta = [0] * n
+    for i in support:
+        beta[i] = 1
+    # loop i is 1 exactly when the set misses both ends of ring edge i
+    alpha = map((1).__sub__, map(or_, beta, beta[1:] + beta[:1]))
+    return Vertex(alpha=tuple(alpha), beta=tuple(beta), support=tuple(sorted(support)))
 
 
 def fractional_vertex(n: int) -> Vertex:
@@ -146,8 +182,10 @@ def hyperplane_vertices(n: int) -> list[Vertex]:
     """
     if n % 2 == 0:
         raise EvenN("the slice construction needs odd n")
-    level = Fraction(n - 1, 2)
-    return [v for v in vertices(n) if not v.is_fractional and v.beta_total() == level]
+    out = [vertex_for_stable_set(n, s) for s in stable_sets_of_size(n, (n - 1) // 2)]
+    for v in out:
+        v.check()
+    return out
 
 
 def simplex_vertices(n: int) -> list[Vertex]:

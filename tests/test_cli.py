@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from magiccount import genfun
+from magiccount import genfun, polytope
 from magiccount.cli import main
 
 
@@ -109,6 +109,78 @@ def test_zero_sizes_are_accepted(capsys):
     code, out, _ = run(capsys, "count", "--cycle", "-n", "3", "-k", "1", "--s-max", "0", "--format", "csv")
     assert code == 0
     assert out == "s,count\n0,1\n"
+
+
+def test_count_cycle_loop_vector_defaults_to_two(capsys):
+    _, default, _ = run(capsys, "count", "--cycle", "-n", "2", "--s-max", "3", "--format", "csv")
+    _, explicit, _ = run(capsys, "count", "--cycle", "-n", "2", "-k", "2", "--s-max", "3", "--format", "csv")
+    assert default == explicit
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "--line", "-n", "2", "-k", "a,b", "--s-max", "1"), "argument -k: not allowed with argument --line"),
+        (("count", "--line", "-n", "2", "-k", "2"), "argument -k: not allowed with argument --line"),
+        (("series", "--cycle", "-s", "2", "-n", "3", "-k", "1", "--order", "1"), "argument -n: not allowed with argument -s"),
+        (("series", "--line", "-s", "2", "-k", "1"), "argument -k: not allowed with argument -s"),
+        (("polytope", "-n", "3", "--stable", "--hyperplane"), "argument --hyperplane: not allowed with argument --stable"),
+        (("polytope", "-n", "3", "--stable", "--series", "3"), "argument --series: not allowed with argument --stable"),
+        (("polytope", "-n", "3", "--hyperplane", "--series", "3"), "argument --series: not allowed with argument --hyperplane"),
+        (("polytope", "-n", "2"), "argument -n: the cycle needs n >= 3, got 2"),
+        (("polytope", "-n", "0", "--stable"), "argument -n: the cycle needs n >= 3, got 0"),
+        (("polytope", "-n", "1", "--hyperplane"), "argument -n: the cycle needs n >= 3, got 1"),
+        (("polytope", "-n", "4", "--hyperplane"), "argument -n: --hyperplane needs odd n, got 4"),
+        (("polytope", "-n", "4", "--series", "2"), "argument -n: --series needs odd n, got 4"),
+    ],
+)
+def test_ignored_or_invalid_option_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("polytope", "-n", "40"), ("polytope", "-n", "27", "--stable"), ("polytope", "-n", "3163", "--hyperplane")],
+)
+def test_polytope_listing_over_budget_exits_three(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "argument -n:" in err and "work budget" in err
+
+
+def test_polytope_budget_boundary(capsys, monkeypatch):
+    # n = 5 lists 11 stable sets: 55 set-vertex cells
+    monkeypatch.setattr(polytope, "MAX_LISTED_CELLS", 55)
+    assert run(capsys, "polytope", "-n", "5", "--stable")[0] == 0
+    monkeypatch.setattr(polytope, "MAX_LISTED_CELLS", 54)
+    assert run(capsys, "polytope", "-n", "5", "--stable")[0] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("polytope", "-n", "21"),
+        ("polytope", "-n", "21", "--stable"),
+        ("polytope", "-n", "2001", "--hyperplane"),
+        ("polytope", "-n", "25", "--stable"),
+    ],
+)
+def test_polytope_budget_admits_large_listings(capsys, monkeypatch, argv):
+    # only the budget is under test, so the listing itself is stubbed out
+    for name in ("stable_sets", "vertices", "hyperplane_vertices"):
+        monkeypatch.setattr(polytope, name, lambda n: [])
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
+def test_polytope_series_accepts_any_odd_n(capsys):
+    code, out, _ = run(capsys, "polytope", "-n", "1", "--series", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,1", "1,1", "2,2", "3,2"]
 
 
 def test_verify_all(capsys):

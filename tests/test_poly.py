@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from magiccount.poly import (
     Poly,
     ZeroConstantTerm,
+    coeff_to_str,
     interpolate,
     poly_to_json,
     series_poly_product,
@@ -119,3 +120,22 @@ def test_series_quotient_times_denominator_restores_numerator(num, den):
     restored = series_poly_product(series, den)
     expected = [num.coefficient(k) for k in range(order + 1)]
     assert restored == expected
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0, "0"),
+        (42, "42"),
+        (-7, "-7"),
+        (10**30, "1" + "0" * 30),
+        (Fraction(6, 3), "2"),
+        (Fraction(-4, 1), "-4"),
+        (Fraction(3, 4), "3/4"),
+        (Fraction(-1, 2), "-1/2"),
+        (True, "1"),
+        (False, "0"),
+    ],
+)
+def test_coeff_to_str(value, text):
+    assert coeff_to_str(value) == text

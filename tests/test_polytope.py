@@ -1,12 +1,14 @@
 """Stable sets, polytope vertices, and the singular simplex."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from magiccount.genfun import alternating_limit, cycle_series, quasipoly_fit
 from magiccount.polytope import (
     EvenN,
+    Vertex,
     affinely_independent,
     fractional_vertex,
     hyperplane_vertices,
@@ -16,8 +18,22 @@ from magiccount.polytope import (
     simplex_vertices,
     stable_set_sizes,
     stable_sets,
+    stable_sets_of_size,
+    vertex_for_stable_set,
     vertices,
 )
+
+
+@cache
+def _bitmask_scan(n):
+    """Oracle: every subset of the n-cycle's vertices, kept when no two are adjacent."""
+    found = []
+    for mask in range(1 << n):
+        if any(mask >> i & 1 and mask >> ((i + 1) % n) & 1 for i in range(n)):
+            continue
+        found.append(tuple(i for i in range(n) if mask >> i & 1))
+    found.sort(key=lambda s: (len(s), s))
+    return found
 
 
 def test_triangle_stable_sets():
@@ -30,6 +46,26 @@ def test_pentagon_pairs():
 
 def test_square_pairs_are_the_two_diagonals():
     assert [s for s in stable_sets(4) if len(s) == 2] == [(0, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_stable_sets_match_the_bitmask_scan_in_order(n):
+    assert stable_sets(n) == _bitmask_scan(n)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_kaplansky_counts_match_the_bitmask_scan(n):
+    sets = _bitmask_scan(n)
+    for k in range(n + 1):
+        assert kaplansky_count(n, k) == sum(1 for s in sets if len(s) == k)
+
+
+@pytest.mark.parametrize("n", (-1, 0, 1, 2))
+def test_stable_sets_need_a_cycle(n):
+    with pytest.raises(ValueError, match="n >= 3"):
+        stable_sets(n)
+    with pytest.raises(ValueError, match="n >= 3"):
+        stable_sets_of_size(n, 0)
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -94,6 +130,31 @@ def test_hyperplane_separates_the_vertices(n):
         if v.is_fractional or v.coordinates() in on_plane:
             continue
         assert v.beta_total() < level
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_hyperplane_vertices_are_the_slice_of_all_vertices(n):
+    level = Fraction(n - 1, 2)
+    expected = [v for v in vertices(n) if not v.is_fractional and v.beta_total() == level]
+    assert hyperplane_vertices(n) == expected
+
+
+def test_hyperplane_vertices_at_large_n():
+    vs = hyperplane_vertices(2001)
+    assert len(vs) == 2001
+    assert len({v.support for v in vs}) == 2001
+    assert all(len(v.support) == 1000 for v in vs)
+
+
+def test_check_rejects_a_broken_vertex():
+    with pytest.raises(AssertionError, match="ring equation at 1"):
+        Vertex(alpha=(0, 0, 1), beta=(1, 0, 0), support=(0,)).check()
+    with pytest.raises(AssertionError, match="ring equation at 0"):
+        vertex_for_stable_set(4, (0, 1)).check()  # adjacent vertices are not stable
+    with pytest.raises(AssertionError, match="negative coordinate"):
+        Vertex(alpha=(-1, -1, -1), beta=(1, 1, 1), support=None).check()
+    with pytest.raises(AssertionError, match="unequal numbers"):
+        Vertex(alpha=(1, 1), beta=(0, 0, 0), support=()).check()
 
 
 def test_hyperplane_requires_odd_n():
