@@ -34,8 +34,6 @@ def _json_dump(payload: object) -> str:
 def _emit_table(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
         return "\n".join([",".join(headers)] + [",".join(r) for r in rows]) + "\n"
-    if fmt == "json":
-        return _json_dump({"columns": headers, "rows": rows}) + "\n"
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
     lines += ["  ".join(r[i].ljust(widths[i]) for i in range(len(headers))) for r in rows]
@@ -74,8 +72,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if args.line:
         if args.loops is not None:
             raise ValueError("argument -k: not allowed with argument --line; give loops per vertex with -m")
-        spec = labelings.GraphSpec.line(args.n, args.m)
+        spec = labelings.GraphSpec.line(args.n, 2 if args.m is None else args.m)
     else:
+        if args.m is not None:
+            raise ValueError("argument -m: not allowed with argument --cycle; give loops per vertex with -k")
         spec = labelings.GraphSpec.cycle(args.n, _parse_loops("2" if args.loops is None else args.loops, args.n))
     s_values = range(args.s_max + 1)
     if args.brute:
@@ -124,9 +124,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.all_hold for r in reports) else EXIT_MATH_FAILURE
 
 
+def _clearing_degree(kind: str, n: int) -> int:
+    """Degree of the pole-clearing factor; the series must reach it."""
+    power, plus = genfun.clearing_factor(kind, n)
+    return power + plus
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     kind = "line" if args.el else "cycle"
     ns = [args.n] if args.n is not None else list(range(args.n_max + 1))
+    if args.order is not None:
+        degree, n = max((_clearing_degree(kind, n), n) for n in ns)
+        if args.order < degree:
+            raise ValueError(f"argument --order: must be at least {degree} for n={n}, got {args.order}")
     reports = [genfun.ehrhart_numerator(kind, n, args.order) for n in ns]
     if args.format == "json":
         sys.stdout.write(_json_dump([r.to_json_obj() for r in reports]) + "\n")
@@ -266,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     shape.add_argument("--line", action="store_true")
     shape.add_argument("--cycle", action="store_true")
     p_count.add_argument("-n", type=_size, required=True, help="number of vertices")
-    p_count.add_argument("-m", type=_size, default=2, help="loops per vertex (line)")
+    p_count.add_argument("-m", type=_size, default=None, help="loops per vertex (line; default 2)")
     p_count.add_argument("-k", dest="loops", default=None, help="loop vector, e.g. 1,2,1 (cycle; default 2)")
     p_count.add_argument("--s-max", type=_size, default=8)
     p_count.add_argument("--brute", action="store_true", help="use the enumeration oracle")
@@ -331,7 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (genfun.NotStabilized, genfun.InconsistentSamples) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH_FAILURE
-    except (recurrences.UnknownIdentity, labelings.LengthMismatch, polytope.EvenN, ValueError) as exc:
+    except (recurrences.UnknownIdentity, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

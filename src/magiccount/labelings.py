@@ -94,7 +94,7 @@ def count_cycle(n: int, loops: Sequence[int], s: int) -> int:
 
     ``loops[i]`` is the number of self-loops at vertex i.  n = 0 returns
     s + 1 by the same convention as the line case; n = 1 doubles the
-    single ring label at its vertex.
+    single ring label at its vertex.  Both come out of the one ring walk.
     """
     if n < 0 or s < 0:
         raise ValueError("arguments must be nonnegative")
@@ -103,10 +103,6 @@ def count_cycle(n: int, loops: Sequence[int], s: int) -> int:
         raise LengthMismatch(f"expected {n} loop counts, got {len(loops)}")
     if any(k < 0 for k in loops):
         raise ValueError("loop counts must be nonnegative")
-    if n == 0:
-        return s + 1
-    if n == 1:
-        return sum(loop_ways(s - 2 * b, loops[0]) for b in range(s // 2 + 1))
     total = 0
     for b0 in range(s + 1):
         # walk the ring from edge 0 back around to edge 0

@@ -10,7 +10,10 @@ Three matrix families drive the closed-form counts:
   tridiagonal (-1, 2, -1) matrix, which differ only in the top-right
   corner entry (1 in one family, 2 in the other).
 
-Determinants over the integers use fraction-free Bareiss elimination.
+One fraction-free Bareiss elimination, ``_echelon``, serves the
+determinant, the rank and the linear solve.  Rational rows are first
+scaled by the lcm of their denominators, which changes neither the rank
+nor the solution, so every entry stays an integer minor.
 ``char_poly`` recovers det(yI - M) by evaluating at n+1 integer points
 and interpolating, with an integrality check; the degree bound is known
 a priori so this is exact.  det(I - yM) = y^n det(y^-1 I - M) is its
@@ -21,6 +24,7 @@ coefficient reversal.  The bordered-determinant sweep of
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .poly import Coeff, Poly, interpolate
@@ -158,7 +162,50 @@ def mirror_tridiagonal(n: int, corner: int) -> Matrix:
     return Matrix([[entry(i, j) for j in range(n)] for i in range(n)])
 
 
-# -- exact determinants -----------------------------------------------------
+# -- exact elimination -------------------------------------------------------
+
+
+def _echelon(work: list[list[int]]) -> tuple[int, int]:
+    """Bring an integer matrix to fraction-free row echelon form in place.
+
+    Bareiss elimination: each step divides exactly by the previous pivot,
+    so every entry stays an integer minor of the input.  A column with no
+    pivot is skipped; the division stays exact because Sylvester's
+    identity holds on any choice of columns.  Returns (rank, sign), sign
+    being that of the row permutation.
+    """
+    n_rows = len(work)
+    n_cols = len(work[0]) if work else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(n_cols):
+        if rank == n_rows:
+            break
+        pivot = next((r for r in range(rank, n_rows) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
+        top = work[rank]
+        lead = top[col]
+        for row in work[rank + 1 :]:
+            below = row[col]
+            row[col] = 0
+            for j in range(col + 1, n_cols):
+                row[j] = (row[j] * lead - below * top[j]) // prev
+        prev = lead
+        rank += 1
+    return rank, sign
+
+
+def _integral_rows(rows: Sequence[Sequence[Coeff]]) -> list[list[int]]:
+    """Scale each rational row by the lcm of its denominators."""
+    work = []
+    for row in rows:
+        entries = [Fraction(e) for e in row]
+        scale = lcm(*(e.denominator for e in entries))
+        work.append([e.numerator * (scale // e.denominator) for e in entries])
+    return work
 
 
 def det(m: Matrix) -> int:
@@ -167,20 +214,8 @@ def det(m: Matrix) -> int:
     if n == 0:
         return 1
     work = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if work[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            work[k], work[pivot] = work[pivot], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * work[k][k] - work[i][k] * work[k][j]) // prev
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
+    rank, sign = _echelon(work)
+    return sign * work[n - 1][n - 1] if rank == n else 0
 
 
 def _interpolate_integral(values: list[tuple[int, int]]) -> Poly:
@@ -245,44 +280,17 @@ def solve_exact(
     n = len(system)
     if len(rhs) != n or any(len(row) != n for row in system):
         raise DimensionMismatch("system must be square with matching rhs")
-    work = [[Fraction(e) for e in row] + [Fraction(rhs[i])] for i, row in enumerate(system)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col] / work[col][col]
-                for j in range(col, n + 1):
-                    work[r][j] -= factor * work[col][j]
+    work = _integral_rows([list(row) + [rhs[i]] for i, row in enumerate(system)])
+    _echelon(work)
+    if any(work[i][i] == 0 for i in range(n)):
+        return None
     solution = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
-        acc = work[i][n]
-        for j in range(i + 1, n):
-            acc -= work[i][j] * solution[j]
-        solution[i] = acc / work[i][i]
+        acc = work[i][n] - sum(work[i][j] * solution[j] for j in range(i + 1, n))
+        solution[i] = Fraction(acc, work[i][i])
     return solution
 
 
 def rational_rank(rows: Sequence[Sequence[Coeff]]) -> int:
     """Rank of a rectangular matrix over the rationals, by elimination."""
-    work = [[Fraction(e) for e in row] for row in rows]
-    if not work:
-        return 0
-    n_cols = len(work[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col] / work[rank][col]
-                for j in range(col, n_cols):
-                    work[r][j] -= factor * work[rank][j]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return _echelon(_integral_rows(rows))[0]

@@ -203,5 +203,6 @@ def simplex_series(n: int, order: int) -> list[Fraction]:
     """Lattice-point series of the singular simplex: 1 / ((1-t)^n (1-t^2))."""
     if n % 2 == 0:
         raise EvenN("the singular simplex exists for odd n only")
-    denominator = Poly((1, -1)) ** n * Poly((1, 0, -1))
-    return series_quotient(Poly((1,)), denominator, order)
+    # (1-t)^n cut at degree order: series_quotient reads nothing beyond it
+    head = Poly([(-1) ** j * comb(n, j) for j in range(min(n, order) + 1)])
+    return series_quotient(Poly((1,)), head * Poly((1, 0, -1)), order)

@@ -53,6 +53,24 @@ _DENOMINATOR_SEED = (
 )
 
 
+def _parity_sign(exponent: int) -> int:
+    return -1 if exponent % 2 else 1
+
+
+def _signature_step(f: Callable[[int], Poly], n: int) -> Poly:
+    """-y [f(n-1)(-y) + f(n-3)(-y)] + 2 f(n-2) - f(n-4)."""
+    return -Y * (f(n - 1).negate_variable() + f(n - 3).negate_variable()) + 2 * f(n - 2) - f(n - 4)
+
+
+def _mirror_step(f: Callable[[int], Poly], n: int) -> Poly:
+    """(-1)^(n-1) y [f(n-1)(-y) - f(n-3)(-y)] - 2 f(n-2) - f(n-4)."""
+    return (
+        _parity_sign(n - 1) * Y * (f(n - 1).negate_variable() - f(n - 3).negate_variable())
+        - 2 * f(n - 2)
+        - f(n - 4)
+    )
+
+
 def _family(seed: tuple[Poly, ...]) -> Callable[[int], Poly]:
     @lru_cache(maxsize=None)
     def member(n: int) -> Poly:
@@ -60,11 +78,7 @@ def _family(seed: tuple[Poly, ...]) -> Callable[[int], Poly]:
             raise ValueError("index must be nonnegative")
         if n < 4:
             return seed[n]
-        return (
-            -Y * (member(n - 1).negate_variable() + member(n - 3).negate_variable())
-            + 2 * member(n - 2)
-            - member(n - 4)
-        )
+        return _signature_step(member, n)
 
     return member
 
@@ -103,10 +117,6 @@ def _allones_form(n: int) -> Poly:
     """
     moments = [count_line(k, 2, n - 1) for k in range(n)]
     return Poly(series_poly_product(moments, _resolvent_det(n)))
-
-
-def _parity_sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
 
 
 # -- the identity catalog -----------------------------------------------------
@@ -172,31 +182,13 @@ def _catalog() -> dict[str, Identity]:
             5,
             "char(mirror2_n) = (-1)^{n-1} y [char(mirror2_{n-1})(-y) -"
             " char(mirror2_{n-3})(-y)] - 2 char(mirror2_{n-2}) - char(mirror2_{n-4})",
-            lambda n: [
-                (
-                    m2(n),
-                    _parity_sign(n - 1)
-                    * Y
-                    * (m2(n - 1).negate_variable() - m2(n - 3).negate_variable())
-                    - 2 * m2(n - 2)
-                    - m2(n - 4),
-                )
-            ],
+            lambda n: [(m2(n), _mirror_step(m2, n))],
         ),
         Identity(
             "inv-only-rec",
             5,
             "same four-term recurrence for char(inv_n)",
-            lambda n: [
-                (
-                    inv(n),
-                    _parity_sign(n - 1)
-                    * Y
-                    * (inv(n - 1).negate_variable() - inv(n - 3).negate_variable())
-                    - 2 * inv(n - 2)
-                    - inv(n - 4),
-                )
-            ],
+            lambda n: [(inv(n), _mirror_step(inv, n))],
         ),
         Identity(
             "inv-eq-signed-det",
@@ -208,14 +200,7 @@ def _catalog() -> dict[str, Identity]:
             "det-only-rec",
             5,
             "det(I - yB_n) satisfies the signature four-term recurrence",
-            lambda n: [
-                (
-                    rdet(n),
-                    -Y * (rdet(n - 1).negate_variable() + rdet(n - 3).negate_variable())
-                    + 2 * rdet(n - 2)
-                    - rdet(n - 4),
-                )
-            ],
+            lambda n: [(rdet(n), _signature_step(rdet, n))],
         ),
         Identity(
             "form-rec-via-det",
@@ -254,14 +239,7 @@ def _catalog() -> dict[str, Identity]:
             "form-only-rec",
             5,
             "the all-ones adjugate form satisfies the signature recurrence",
-            lambda n: [
-                (
-                    form(n),
-                    -Y * (form(n - 1).negate_variable() + form(n - 3).negate_variable())
-                    + 2 * form(n - 2)
-                    - form(n - 4),
-                )
-            ],
+            lambda n: [(form(n), _signature_step(form, n))],
         ),
         Identity(
             "series-bridge",

@@ -117,6 +117,13 @@ def test_count_cycle_loop_vector_defaults_to_two(capsys):
     assert default == explicit
 
 
+def test_count_line_loops_default_to_two(capsys):
+    _, default, _ = run(capsys, "count", "--line", "-n", "2", "--s-max", "3", "--format", "csv")
+    _, explicit, _ = run(capsys, "count", "--line", "-n", "2", "-m", "2", "--s-max", "3", "--format", "csv")
+    assert default == explicit
+    assert default.splitlines()[1:] == ["0,1", "1,10", "2,46", "3,146"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -132,6 +139,12 @@ def test_count_cycle_loop_vector_defaults_to_two(capsys):
         (("polytope", "-n", "1", "--hyperplane"), "argument -n: the cycle needs n >= 3, got 1"),
         (("polytope", "-n", "4", "--hyperplane"), "argument -n: --hyperplane needs odd n, got 4"),
         (("polytope", "-n", "4", "--series", "2"), "argument -n: --series needs odd n, got 4"),
+        (
+            ("count", "--cycle", "-n", "2", "-m", "5", "--s-max", "2"),
+            "argument -m: not allowed with argument --cycle; give loops per vertex with -k",
+        ),
+        (("table", "--ec", "-n", "3", "--order", "7"), "argument --order: must be at least 8 for n=3, got 7"),
+        (("table", "--el", "--n-max", "4", "--order", "9"), "argument --order: must be at least 10 for n=4, got 9"),
     ],
 )
 def test_ignored_or_invalid_option_is_usage_error(capsys, argv, message):
@@ -235,6 +248,14 @@ def test_table_line_rows(capsys):
         "3,1;16;37;16;1",
         "4,1;48;351;656;351;48;1",
     ]
+
+
+def test_table_order_at_the_clearing_degree(capsys):
+    # the odd cycle n = 3 clears (1-x)^7 (1+x), of degree 8; order 7 is refused
+    code, out, err = run(capsys, "table", "--ec", "-n", "3", "--order", "8", "--format", "csv")
+    assert code == 0, err
+    _, default, _ = run(capsys, "table", "--ec", "-n", "3", "--format", "csv")
+    assert out == default
 
 
 def test_table_cycle_single_rows(capsys):

@@ -1,6 +1,7 @@
 """Structured matrix families and exact determinant machinery."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -154,16 +155,14 @@ def _identity_minus_y(entries):
     return [[Poly((int(i == j), -entries[i][j])) for j in range(n)] for i in range(n)]
 
 
-def _poly_det(mat):
-    """Determinant of a matrix of polynomials by cofactor expansion."""
-    if len(mat) == 1:
-        return mat[0][0]
-    total = Poly()
-    for j, lead in enumerate(mat[0]):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = lead * _poly_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+def _cofactor_det(rows):
+    """Determinant by expansion along the first row; exact for int, Fraction and Poly entries."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * lead * _cofactor_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, lead in enumerate(rows[0])
+    )
 
 
 def _adjugate_oracle(entries):
@@ -175,7 +174,7 @@ def _adjugate_oracle(entries):
         for j in range(n):
             # adj(A)[i][j] is the (j, i) cofactor
             minor = [row[:i] + row[i + 1 :] for k, row in enumerate(a) if k != j]
-            cof = _poly_det(minor)
+            cof = _cofactor_det(minor)
             total = total + (cof if (i + j) % 2 == 0 else -cof)
     return total
 
@@ -208,7 +207,7 @@ def test_det_identity_minus_y_matches_cofactor_expansion(entries, singular):
     # degree drops below the order
     if singular:
         entries[-1] = [0] * len(entries)
-    expected = _poly_det(_identity_minus_y(entries))
+    expected = _cofactor_det(_identity_minus_y(entries))
     assert det_identity_minus_y(Matrix(entries)) == expected
     if singular:
         assert expected.degree < len(entries)
@@ -228,3 +227,102 @@ def test_rational_rank():
 def test_det_with_pivoting():
     assert det(Matrix([[0, 1], [1, 0]])) == -1
     assert det(Matrix([[0, 0], [0, 0]])) == 0
+
+
+# -- the elimination routine against a cofactor-expansion oracle ---------------
+
+
+def _minor_rank(rows):
+    """Largest k with a nonzero k x k minor."""
+    n_cols = len(rows[0]) if rows else 0
+    for k in range(min(len(rows), n_cols), 0, -1):
+        for picked in combinations(rows, k):
+            for cols in combinations(range(n_cols), k):
+                if _cofactor_det([[row[j] for j in cols] for row in picked]) != 0:
+                    return k
+    return 0
+
+
+_ENTRY = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+def _with_dependencies(draw, rows):
+    """Optionally repeat a row and zero a column, to reach rank-deficient cases."""
+    if len(rows) > 1 and draw(st.booleans()):
+        rows[draw(st.integers(1, len(rows) - 1))] = list(rows[0])
+    if rows and rows[0] and draw(st.booleans()):
+        col = draw(st.integers(0, len(rows[0]) - 1))
+        for row in rows:
+            row[col] = 0
+    return rows
+
+
+@st.composite
+def _square(draw, entries=st.integers(min_value=-4, max_value=4), min_order=0, max_order=5):
+    n = draw(st.integers(min_order, max_order))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return _with_dependencies(draw, rows)
+
+
+@st.composite
+def _rectangular(draw):
+    n_rows, n_cols = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    return _with_dependencies(draw, rows)
+
+
+@given(_square())
+def test_det_matches_cofactor_oracle(rows):
+    assert det(Matrix(rows)) == _cofactor_det(rows)
+
+
+@given(_rectangular())
+def test_rational_rank_matches_minor_oracle(rows):
+    assert rational_rank(rows) == _minor_rank(rows)
+
+
+@given(_square(entries=_ENTRY, min_order=1), st.lists(_ENTRY, min_size=5, max_size=5))
+def test_solve_exact_matches_cofactor_oracle(system, values):
+    rhs = values[: len(system)]
+    solution = solve_exact(system, rhs)
+    if _cofactor_det(system) == 0:
+        assert solution is None
+    else:
+        assert all(type(x) is Fraction for x in solution)
+        assert [sum(a * x for a, x in zip(row, solution)) for row in system] == rhs
+
+
+# the first pivot is 2, column 1 then has no pivot, and the step on column 2
+# divides by that 2 after the skip
+_SKIP_AFTER_PIVOT = [[2, 1, 1, 3], [4, 2, 3, 1], [6, 3, 5, 7]]
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        (_SKIP_AFTER_PIVOT, 3),
+        ([[0] + row for row in _SKIP_AFTER_PIVOT] + [[0, 12, 6, 9, 11]], 3),
+        ([[0, 1, 2], [0, 2, 4], [0, 3, 7]], 2),
+        ([[0, 1, 2], [0, 2, 5], [1, 0, 0]], 3),
+        ([[Fraction(1, 2), Fraction(1, 3)], [3, 2]], 1),
+        ([[0, 0, 0], [0, 0, 0]], 0),
+    ],
+)
+def test_rank_with_skipped_pivot_columns(rows, rank):
+    assert _minor_rank(rows) == rank
+    assert rational_rank(rows) == rank
+
+
+def test_det_and_solve_after_pivot_swap():
+    rows = [[0, 1, 2], [0, 2, 5], [1, 0, 0]]
+    assert det(Matrix(rows)) == _cofactor_det(rows) == 1
+    assert solve_exact(rows, [3, 7, 1]) == [1, 1, 1]
+
+
+def test_solve_exact_singular_after_skipped_column():
+    system = [[2, 1, 1], [4, 2, 3], [6, 3, 5]]
+    assert _cofactor_det(system) == 0
+    assert solve_exact(system, [1, 2, 3]) is None

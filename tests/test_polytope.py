@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 import pytest
 
@@ -22,6 +23,7 @@ from magiccount.polytope import (
     vertex_for_stable_set,
     vertices,
 )
+from magiccount.poly import Poly, series_quotient
 
 
 @cache
@@ -178,6 +180,20 @@ def test_simplex_series_values():
     assert simplex_series(3, 2) == [1, 3, 7]
     assert simplex_series(3, 0) == [1]
     assert simplex_series(5, 1) == [1, 5]
+
+
+def test_simplex_series_of_a_large_simplex():
+    # 1 / ((1-t)^n (1-t^2)) = Sum_s Sum_i C(s - 2i + n - 1, n - 1) t^s
+    n, order = 20001, 10
+    expected = [sum(comb(s - 2 * i + n - 1, n - 1) for i in range(s // 2 + 1)) for s in range(order + 1)]
+    assert simplex_series(n, order) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 40, 2))
+def test_simplex_series_matches_the_full_expansion(n):
+    order = 49
+    full = series_quotient(Poly((1,)), Poly((1, -1)) ** n * Poly((1, 0, -1)), order)
+    assert [simplex_series(n, k) for k in range(order + 1)] == [full[: k + 1] for k in range(order + 1)]
 
 
 def test_simplex_series_requires_odd_n():
