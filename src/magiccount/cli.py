@@ -8,7 +8,8 @@ through a 64-bit float.
 Exit codes: 0 success, 1 mathematical failure (an identity breaks, a
 table fails to stabilize, a fitted constant misses its prediction),
 2 usage error, 3 work budget exceeded (the brute-force caps, the polytope
-listing budget).
+listing budget), 4 internal error: an exact computation met a value it
+cannot produce, such as a division that must be exact and is not.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _json_dump(payload: object) -> str:
@@ -341,6 +343,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (genfun.NotStabilized, genfun.InconsistentSamples) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH_FAILURE
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (recurrences.UnknownIdentity, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,6 +23,9 @@ read back in reverse, new[b'] = (P^k state)[s - b'], which costs O(k*s)
 instead of the O(s^2) of the direct convolution.  A line of n vertices
 then costs O(n*k*s) at each s, and a ring, which repeats the walk from
 each of the s + 1 values of its first edge, O(n*k*s^2).
+``transfer_walk`` runs the same walks for the powers of one transfer
+matrix at once, giving its traces (ring counts) and all-ones moments
+(line counts), from which the matrix side builds its polynomials.
 ``brute_force_count`` enumerates every edge labeling one by one and is
 the independent oracle the fast counters are tested against.
 """
@@ -32,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class LengthMismatch(ValueError):
@@ -112,6 +116,40 @@ def count_cycle(n: int, loops: Sequence[int], s: int) -> int:
             state = _step(state, k)
         total += state[b0]
     return total
+
+
+def transfer_walk(s: int, length: int, pattern: Sequence[int] = (2,)) -> tuple[list[int], list[int]]:
+    """Traces and all-ones moments of the powers of one transfer product.
+
+    One period applies a vertex step for each loop count of ``pattern``
+    in turn, so it multiplies the state by M, the product of the
+    order-(s+1) kernels T_k with entries loop_ways(s - b - b', k); the
+    default (2,) gives the two-loop transfer matrix.  Returns
+    (traces, moments) with traces[r] = trace(M^r), the ring walk from
+    each start value b0 read at state[b0], and moments[r] = u^T M^r u
+    for the all-ones u, one line walk read as the state sum, for
+    r = 0..length.  That is (s + 2) * length periods of O(sum(pattern) * s)
+    each.
+    """
+    pattern = tuple(pattern)
+    if s < 0 or length < 0 or any(k < 0 for k in pattern):
+        raise ValueError("arguments must be nonnegative")
+
+    def walk(state: list[int], read: Callable[[list[int]], int]) -> list[int]:
+        values = [read(state)]
+        for _ in range(length):
+            for k in pattern:
+                state = _step(state, k)
+            values.append(read(state))
+        return values
+
+    traces = [0] * (length + 1)
+    for b0 in range(s + 1):
+        start = [0] * (s + 1)
+        start[b0] = 1
+        for r, value in enumerate(walk(start, itemgetter(b0))):
+            traces[r] += value
+    return traces, walk([1] * (s + 1), sum)
 
 
 # -- graph description and the enumeration oracle ----------------------------

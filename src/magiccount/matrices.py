@@ -14,11 +14,14 @@ One fraction-free Bareiss elimination, ``_echelon``, serves the
 determinant, the rank and the linear solve.  Rational rows are first
 scaled by the lcm of their denominators, which changes neither the rank
 nor the solution, so every entry stays an integer minor.
-``char_poly`` recovers det(yI - M) by evaluating at n+1 integer points
-and interpolating, with an integrality check; the degree bound is known
-a priori so this is exact.  det(I - yM) = y^n det(y^-1 I - M) is its
+No elimination builds the matrix polynomials.  det(I - yM) comes from
+the power sums trace(M^r), r = 1..n, by Newton's identities, with every
+division checked to be exact (``det_from_power_sums``); the powers are
+formed from the nonzero entries of each row, so the sparse families cost
+O(n^3) for the whole polynomial.  ``char_poly``, det(yI - M), is its
 coefficient reversal.  The bordered-determinant sweep of
-``adjugate_allones_form`` is the reference the tests check against.
+``adjugate_allones_form``, n+1 Bareiss determinants and one
+interpolation, is the reference the tests check against.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ class Matrix:
             return NotImplemented
         if self.order != other.order:
             raise DimensionMismatch(f"orders {self.order} and {other.order} differ")
-        n = self.order
         cols = tuple(zip(*other.rows))
         return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
 
@@ -225,29 +227,68 @@ def _interpolate_integral(values: list[tuple[int, int]]) -> Poly:
     return p
 
 
+def det_from_power_sums(power_sums: Sequence[int]) -> Poly:
+    """det(I - yM) from the power sums p_r = trace(M^r), r = 1..N, of M.
+
+    M is an integer matrix of order N.  Newton's identities give its coefficients c_k, which are (-1)^k times
+    the elementary symmetric functions of the eigenvalues:
+    k c_k = -Sum_{i=1..k} c_{k-i} p_i.  Every c_k of an integer matrix is
+    an integer, so a division by k that is not exact raises
+    ArithmeticError: no integer matrix has those power sums.
+
+    >>> det_from_power_sums([3, 7])  # M = [[1, 1], [1, 2]]
+    Poly('1 - 3y + y^2')
+    """
+    coeffs = [1]
+    for k in range(1, len(power_sums) + 1):
+        total = -sum(coeffs[k - i] * power_sums[i - 1] for i in range(1, k + 1))
+        c, rest = divmod(total, k)
+        if rest:
+            raise ArithmeticError(f"power sums of no integer matrix: {total} is not a multiple of {k}")
+        coeffs.append(c)
+    return Poly(coeffs)
+
+
+def _power_sums(m: Matrix) -> list[int]:
+    """trace(M^r) for r = 1..n.
+
+    Each power is M times the last one, row by row: a row of M adds up
+    one row of the last power per nonzero entry, so a matrix with at
+    most three nonzeros per row costs O(n^2) per power.
+    """
+    n = m.order
+    nonzero = [[(j, a) for j, a in enumerate(row) if a] for row in m.rows]
+    power = [list(row) for row in m.rows]
+    sums = []
+    for r in range(n):
+        if r:
+            previous, power = power, []
+            for terms in nonzero:
+                row = [0] * n
+                for j, a in terms:
+                    row = [x + a * y for x, y in zip(row, previous[j])]
+                power.append(row)
+        sums.append(sum(power[i][i] for i in range(n)))
+    return sums
+
+
 def char_poly(m: Matrix) -> Poly:
     """Characteristic polynomial det(yI - M), monic of degree n.
 
-    Computed by evaluating at y = 0..n and interpolating.
+    The coefficient reversal of det(I - yM), which Newton's identities
+    build from the power sums of M.
     """
-    n = m.order
-    values = []
-    for point in range(n + 1):
-        shifted = Matrix([[point * int(i == j) - m.rows[i][j] for j in range(n)] for i in range(n)])
-        values.append((point, det(shifted)))
-    p = _interpolate_integral(values)
-    if p.degree != n or p.coefficient(n) != 1:
-        raise ArithmeticError("characteristic polynomial is not monic of full degree")
-    return p
+    coeffs = det_from_power_sums(_power_sums(m)).coeffs
+    return Poly(reversed(coeffs + (0,) * (m.order + 1 - len(coeffs))))
 
 
 def det_identity_minus_y(m: Matrix) -> Poly:
     """det(I - yM) as an exact integer polynomial of degree <= n.
 
-    The coefficient reversal of ``char_poly(m)``; for a singular M the
-    zero constant term becomes a stripped leading zero.
+    Built from the power sums of M by Newton's identities; for a
+    singular M the degree drops below n.
     """
-    return Poly(reversed(char_poly(m).coeffs))
+    return det_from_power_sums(_power_sums(m))
 
 
 def adjugate_allones_form(m: Matrix) -> Poly:

@@ -10,11 +10,14 @@ function, in the size variable, of pseudo-line counts with two loops per
 vertex at magic sum s.  The same polynomials arise on the matrix side:
 the denominator family equals det(I - yB) for the order-(s+1) transfer
 matrix B, and the numerator family equals the all-ones adjugate form
-u^T adj(I - yB) u.  Both come from one characteristic-polynomial sweep
-of B: det(I - yB) is its reversal, and by the matrix determinant lemma
-the form is det(I - yB) times the resolvent series Sum_k (u^T B^k u) y^k,
-whose moments are DP line counts.  So identity ``series-bridge`` below
-certifies the recurrence-family quotient against the DP line counts.
+u^T adj(I - yB) u.  Both come from one walk of the counting DP, with no
+elimination: the traces of the powers of B are ring counts, from which
+Newton's identities build det(I - yB), and by the matrix determinant
+lemma the form is det(I - yB) times the resolvent series
+Sum_k (u^T B^k u) y^k, whose moments are line counts.  So identity
+``series-bridge`` below certifies the recurrence families against the
+DP, and ``inv-eq-signed-det`` the power sums of the sparse inverse
+against the same walk.
 
 Every identity is certified by exact polynomial equality over a finite
 index range; a nonzero difference polynomial is reported, never rounded
@@ -27,14 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .labelings import count_line
-from .matrices import (
-    char_poly,
-    det_identity_minus_y,
-    mirror_tridiagonal,
-    transfer_inverse,
-    transfer_matrix,
-)
+from .labelings import transfer_walk
+from .matrices import char_poly, det_from_power_sums, mirror_tridiagonal, transfer_inverse
 from .poly import Poly, series_poly_product
 
 Y = Poly((0, 1))
@@ -104,19 +101,27 @@ def _char_inverse(n: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
+def _transfer_pair(n: int) -> tuple[Poly, Poly]:
+    """det(I - yB) and u^T adj(I - yB) u for the order-n transfer matrix B.
+
+    One DP walk gives the traces of B^r, from which Newton's identities
+    build det(I - yB), and the moments u^T B^k u, which are the line
+    counts.  The form is det(I - yB) Sum_k (u^T B^k u) y^k, cut off below
+    degree n.
+    """
+    traces, moments = transfer_walk(n - 1, n)
+    rdet = det_from_power_sums(traces[1:])
+    return rdet, Poly(series_poly_product(moments[:n], rdet))
+
+
 def _resolvent_det(n: int) -> Poly:
     """det(I - yB) for the order-n transfer matrix B."""
-    return det_identity_minus_y(transfer_matrix(n - 1))
+    return _transfer_pair(n)[0]
 
 
-@lru_cache(maxsize=None)
 def _allones_form(n: int) -> Poly:
-    """u^T adj(I - yB) u for the order-n transfer matrix B.
-
-    det(I - yB) Sum_k count_line(k, 2, n - 1) y^k, cut off below degree n.
-    """
-    moments = [count_line(k, 2, n - 1) for k in range(n)]
-    return Poly(series_poly_product(moments, _resolvent_det(n)))
+    """u^T adj(I - yB) u for the order-n transfer matrix B."""
+    return _transfer_pair(n)[1]
 
 
 # -- the identity catalog -----------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from magiccount import genfun, polytope
+from magiccount import genfun, polytope, recurrences
 from magiccount.cli import main
 
 
@@ -45,6 +45,18 @@ def test_count_brute_cap_exit_code(capsys):
     code, _, err = run(capsys, "count", "--cycle", "-n", "4", "-k", "2", "--brute", "--s-max", "2")
     assert code == 3
     assert "exceeds caps" in err
+
+
+def test_count_brute_cap_defaults_to_ten_edges(capsys):
+    # three ring edges plus seven loops is ten edge variables; one more loop is eleven
+    argv = ("count", "--cycle", "-n", "3", "-k", "3,2,2", "--s-max", "1", "--format", "csv")
+    code, brute, err = run(capsys, *argv, "--brute")
+    assert code == 0, err
+    assert brute == run(capsys, *argv)[1] == "s,count\n0,1\n1,19\n"
+    code, out, err = run(capsys, "count", "--cycle", "-n", "3", "-k", "3,3,2", "--brute", "--s-max", "1")
+    assert code == 3
+    assert out == ""
+    assert "11 edge variables at s=0 exceeds caps (10, 8)" in err
 
 
 def test_count_bad_loop_vector_is_usage_error(capsys):
@@ -233,6 +245,32 @@ def test_verify_at_first_index_checks_one(capsys):
     assert payload["reports"][0]["checked"] == 1
 
 
+def test_verify_n_max_defaults_to_twelve(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "inv-eq-mirror1", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "inv-eq-mirror1,1..12,12,pass,"
+
+
+@pytest.fixture
+def cold_transfer_family():
+    recurrences._transfer_pair.cache_clear()
+    yield
+    recurrences._transfer_pair.cache_clear()
+
+
+def test_arithmetic_fault_is_an_internal_error(capsys, monkeypatch, cold_transfer_family):
+    # traces 0, 1 give 2 c_2 = -1 for det(I - yB): power sums of no integer matrix
+    def broken_walk(s, length):
+        return [s + 1, 0, 1] + [0] * (length - 2), [s + 1] * (length + 1)
+
+    monkeypatch.setattr(recurrences, "transfer_walk", broken_walk)
+    code, out, err = run(capsys, "verify", "--id", "det-only-rec", "--n-max", "5")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "-1 is not a multiple of 2" in err
+
+
 def test_verify_unknown_identity_is_usage_error(capsys):
     code, _, _ = run(capsys, "verify", "--id", "unknown")
     assert code == 2
@@ -248,6 +286,14 @@ def test_table_line_rows(capsys):
         "3,1;16;37;16;1",
         "4,1;48;351;656;351;48;1",
     ]
+
+
+def test_table_n_max_defaults_to_four(capsys):
+    code, default, _ = run(capsys, "table", "--el", "--format", "csv")
+    assert code == 0
+    _, explicit, _ = run(capsys, "table", "--el", "--n-max", "4", "--format", "csv")
+    assert default == explicit
+    assert [row.split(",")[0] for row in default.splitlines()[1:]] == ["0", "1", "2", "3", "4"]
 
 
 def test_table_order_at_the_clearing_degree(capsys):

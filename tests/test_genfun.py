@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from magiccount import genfun
 from magiccount.genfun import (
     InconsistentSamples,
     NotStabilized,
@@ -183,6 +184,19 @@ def test_psi_limit_check_values():
     assert psi_limit_check(3, (1, 1, 1)) == Fraction(1, 16)
     assert psi_limit_check(1, (1,)) == Fraction(1, 4)
     assert psi_limit_check(1, (2,)) == Fraction(1, 8)
+
+
+def test_psi_limit_check_holds_out_ten_samples_by_default(monkeypatch):
+    sampled = []
+
+    def recording_count(n, loops, s):
+        sampled.append(s)
+        return count_cycle(n, loops, s)
+
+    monkeypatch.setattr(genfun, "count_cycle", recording_count)
+    assert psi_limit_check(3, (1, 1, 1)) == Fraction(1, 16)
+    # the solving window of degree 3 is s = 0..4, then ten holdouts
+    assert sorted(sampled) == list(range(15))
 
 
 def test_psi_limit_check_rejects_even_cycles():

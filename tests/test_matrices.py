@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from magiccount.labelings import loop_ways, transfer_walk
 from magiccount.matrices import (
     DimensionMismatch,
     Matrix,
+    _echelon,
+    _integral_rows,
+    _interpolate_integral,
     adjugate_allones_form,
     char_poly,
     det,
+    det_from_power_sums,
     det_identity_minus_y,
     mirror_tridiagonal,
     rational_rank,
@@ -326,3 +331,118 @@ def test_solve_exact_singular_after_skipped_column():
     system = [[2, 1, 1], [4, 2, 3], [6, 3, 5]]
     assert _cofactor_det(system) == 0
     assert solve_exact(system, [1, 2, 3]) is None
+
+
+def _assert_entries_are_minors(rows):
+    """Every entry of the echelon form is a minor of the row-permuted input.
+
+    Row i holds, in column j, the minor on the first min(i, rank) pivot
+    rows plus row i and on their pivot columns plus column j; entries
+    that are only multiples of their minors fail.
+    """
+    work = [list(row) for row in rows]
+    order = [id(row) for row in work]
+    rank, _sign = _echelon(work)
+    permuted = [rows[order.index(id(row))] for row in work]
+    pivots = [next(j for j, e in enumerate(work[i]) if e != 0) for i in range(rank)]
+    for i, row in enumerate(work):
+        k = min(i, rank)
+        for j, entry in enumerate(row):
+            picked = permuted[:k] + [permuted[i]]
+            minor = _cofactor_det([[r[c] for c in pivots[:k] + [j]] for r in picked])
+            assert entry == minor, (i, j)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _SKIP_AFTER_PIVOT,
+        [[0] + row for row in _SKIP_AFTER_PIVOT] + [[0, 12, 6, 9, 11]],
+        [[2, 1, 1, 3], [4, 2, 3, 1], [6, 3, 5, 7], [3, 1, 4, 1]],
+        [[0, 1, 2], [0, 2, 5], [1, 0, 0]],
+    ],
+)
+def test_echelon_entries_are_minors_after_a_skipped_column(rows):
+    _assert_entries_are_minors(rows)
+
+
+@given(_rectangular())
+def test_echelon_entries_are_minors(rows):
+    _assert_entries_are_minors(_integral_rows(rows))
+
+
+# -- Newton's identities against the elimination sweep -----------------------
+
+
+def _elimination_char_poly(m):
+    """det(yI - M) from n+1 Bareiss determinants and one interpolation."""
+    n = m.order
+    values = [
+        (y, det(Matrix([[y * int(i == j) - m.rows[i][j] for j in range(n)] for i in range(n)])))
+        for y in range(n + 1)
+    ]
+    return _interpolate_integral(values)
+
+
+def _elimination_det_identity_minus_y(m):
+    coeffs = _elimination_char_poly(m).coeffs
+    return Poly(reversed(coeffs + (0,) * (m.order + 1 - len(coeffs))))
+
+
+@st.composite
+def _sparse_square(draw):
+    """At most three nonzero entries per row, as in the mirror and inverse families."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n):
+        row = [0] * n
+        for j in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+            row[j] = draw(st.integers(min_value=-3, max_value=3))
+        rows.append(row)
+    return _with_dependencies(draw, rows)
+
+
+@given(st.one_of(_square(), _sparse_square()))
+def test_char_poly_matches_elimination_oracle(rows):
+    m = Matrix(rows)
+    assert char_poly(m) == _elimination_char_poly(m)
+    assert det_identity_minus_y(m) == _elimination_det_identity_minus_y(m)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda n: transfer_matrix(n - 1),
+        transfer_inverse,
+        lambda n: mirror_tridiagonal(n, 1),
+        lambda n: mirror_tridiagonal(n, 2),
+    ],
+    ids=["transfer", "inverse", "mirror1", "mirror2"],
+)
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
+def test_char_poly_of_the_families_matches_elimination(family, n):
+    m = family(n)
+    assert char_poly(m) == _elimination_char_poly(m)
+
+
+def _dense_product(s, pattern):
+    """The walk's period as a dense matrix: T_k for each k of the pattern, applied in turn."""
+    product = Matrix.identity(s + 1)
+    for k in pattern:
+        kernel = Matrix([[loop_ways(s - i - j, k) for j in range(s + 1)] for i in range(s + 1)])
+        product = kernel @ product
+    return product
+
+
+@pytest.mark.parametrize("pattern", [(0,), (1,), (2,), (3,), (4,), (0, 1), (1, 2, 3), (0, 2, 1, 3)])
+@pytest.mark.parametrize("s", [0, 1, 4, 8])
+def test_walk_det_matches_elimination_on_the_dense_product(s, pattern):
+    traces, _ = transfer_walk(s, s + 1, pattern)
+    expected = _elimination_det_identity_minus_y(_dense_product(s, pattern))
+    assert det_from_power_sums(traces[1:]) == expected
+
+
+@pytest.mark.parametrize("power_sums", [[0, 1], [1, 0, 0], [2, 3, 5, 7]])
+def test_power_sums_of_no_integer_matrix_raise(power_sums):
+    with pytest.raises(ArithmeticError, match="not a multiple"):
+        det_from_power_sums(power_sums)

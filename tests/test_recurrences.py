@@ -2,9 +2,11 @@
 
 import pytest
 
+from magiccount import matrices, poly, recurrences
 from magiccount.matrices import (
     adjugate_allones_form,
     char_poly,
+    det_identity_minus_y,
     mirror_tridiagonal,
     transfer_inverse,
     transfer_matrix,
@@ -14,6 +16,7 @@ from magiccount.recurrences import (
     CATALOG,
     UnknownIdentity,
     _allones_form,
+    _resolvent_det,
     gf_denominator,
     gf_numerator,
     verify_all,
@@ -64,6 +67,12 @@ def test_verify_all_covers_the_catalog():
     assert all(r.all_hold for r in reports)
 
 
+def test_verify_identity_stops_at_twelve_by_default():
+    report = verify_identity("inv-eq-mirror1")
+    assert (report.start, report.stop) == (1, 12)
+    assert [c.index for c in report.checks] == list(range(1, 13))
+
+
 def test_minimum_indices_are_respected():
     report = verify_identity("inv-from-mirror2", stop=12, start=1)
     assert report.start == 5  # below-range indices are skipped, not failed
@@ -109,3 +118,34 @@ def test_report_json_shape():
     assert payload["holds"] is True
     assert payload["checked"] == 4
     assert payload["first_failure"] is None
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+def test_resolvent_det_from_the_walk_matches_the_dense_matrix(n):
+    assert _resolvent_det(n) == det_identity_minus_y(transfer_matrix(n - 1))
+
+
+def _clear_matrix_side_caches():
+    for cached in (recurrences._char_mirror, recurrences._char_inverse, recurrences._transfer_pair):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def cold_matrix_side():
+    _clear_matrix_side_caches()
+    yield
+    _clear_matrix_side_caches()
+
+
+def test_catalog_runs_no_elimination_or_interpolation(monkeypatch, cold_matrix_side):
+    def refuse(*_args):
+        raise AssertionError("elimination or interpolation on the verify path")
+
+    monkeypatch.setattr(matrices, "det", refuse)
+    monkeypatch.setattr(matrices, "interpolate", refuse)
+    monkeypatch.setattr(poly, "interpolate", refuse)
+    reports = verify_all(stop=30)
+    assert [r.identity_id for r in reports] == list(CATALOG)
+    for r in reports:
+        assert r.all_hold, r.identity_id
+        assert len(r.checks) == 30 - CATALOG[r.identity_id].min_index + 1
