@@ -118,28 +118,23 @@ def count_cycle(n: int, loops: Sequence[int], s: int) -> int:
     return total
 
 
-def transfer_walk(s: int, length: int, pattern: Sequence[int] = (2,)) -> tuple[list[int], list[int]]:
-    """Traces and all-ones moments of the powers of one transfer product.
+def transfer_walk(s: int, length: int) -> tuple[list[int], list[int]]:
+    """Traces and all-ones moments of the powers of the transfer matrix.
 
-    One period applies a vertex step for each loop count of ``pattern``
-    in turn, so it multiplies the state by M, the product of the
-    order-(s+1) kernels T_k with entries loop_ways(s - b - b', k); the
-    default (2,) gives the two-loop transfer matrix.  Returns
-    (traces, moments) with traces[r] = trace(M^r), the ring walk from
-    each start value b0 read at state[b0], and moments[r] = u^T M^r u
-    for the all-ones u, one line walk read as the state sum, for
-    r = 0..length.  That is (s + 2) * length periods of O(sum(pattern) * s)
-    each.
+    One two-loop vertex step multiplies the state by the order-(s+1)
+    transfer matrix B.  Returns (traces, moments) with
+    traces[r] = trace(B^r), the ring walk from each start value b0 read
+    at state[b0], and moments[r] = u^T B^r u for the all-ones u, one line
+    walk read as the state sum, for r = 0..length.  That is
+    (s + 2) * length steps of O(s) each.
     """
-    pattern = tuple(pattern)
-    if s < 0 or length < 0 or any(k < 0 for k in pattern):
+    if s < 0 or length < 0:
         raise ValueError("arguments must be nonnegative")
 
     def walk(state: list[int], read: Callable[[list[int]], int]) -> list[int]:
         values = [read(state)]
         for _ in range(length):
-            for k in pattern:
-                state = _step(state, k)
+            state = _step(state, 2)
             values.append(read(state))
         return values
 

@@ -114,16 +114,6 @@ def _transfer_pair(n: int) -> tuple[Poly, Poly]:
     return rdet, Poly(series_poly_product(moments[:n], rdet))
 
 
-def _resolvent_det(n: int) -> Poly:
-    """det(I - yB) for the order-n transfer matrix B."""
-    return _transfer_pair(n)[0]
-
-
-def _allones_form(n: int) -> Poly:
-    """u^T adj(I - yB) u for the order-n transfer matrix B."""
-    return _transfer_pair(n)[1]
-
-
 # -- the identity catalog -----------------------------------------------------
 
 
@@ -141,8 +131,8 @@ def _catalog() -> dict[str, Identity]:
     m1 = lambda n: _char_mirror(n, 1)
     m2 = lambda n: _char_mirror(n, 2)
     inv = _char_inverse
-    rdet = _resolvent_det
-    form = _allones_form
+    rdet = lambda n: _transfer_pair(n)[0]
+    form = lambda n: _transfer_pair(n)[1]
 
     entries = [
         Identity(

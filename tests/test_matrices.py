@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from magiccount.labelings import loop_ways, transfer_walk
 from magiccount.matrices import (
     DimensionMismatch,
     Matrix,
@@ -423,23 +422,6 @@ def test_char_poly_matches_elimination_oracle(rows):
 def test_char_poly_of_the_families_matches_elimination(family, n):
     m = family(n)
     assert char_poly(m) == _elimination_char_poly(m)
-
-
-def _dense_product(s, pattern):
-    """The walk's period as a dense matrix: T_k for each k of the pattern, applied in turn."""
-    product = Matrix.identity(s + 1)
-    for k in pattern:
-        kernel = Matrix([[loop_ways(s - i - j, k) for j in range(s + 1)] for i in range(s + 1)])
-        product = kernel @ product
-    return product
-
-
-@pytest.mark.parametrize("pattern", [(0,), (1,), (2,), (3,), (4,), (0, 1), (1, 2, 3), (0, 2, 1, 3)])
-@pytest.mark.parametrize("s", [0, 1, 4, 8])
-def test_walk_det_matches_elimination_on_the_dense_product(s, pattern):
-    traces, _ = transfer_walk(s, s + 1, pattern)
-    expected = _elimination_det_identity_minus_y(_dense_product(s, pattern))
-    assert det_from_power_sums(traces[1:]) == expected
 
 
 @pytest.mark.parametrize("power_sums", [[0, 1], [1, 0, 0], [2, 3, 5, 7]])

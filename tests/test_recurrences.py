@@ -15,8 +15,7 @@ from magiccount.poly import Poly
 from magiccount.recurrences import (
     CATALOG,
     UnknownIdentity,
-    _allones_form,
-    _resolvent_det,
+    _transfer_pair,
     gf_denominator,
     gf_numerator,
     verify_all,
@@ -101,7 +100,7 @@ def test_series_bridge_explicitly():
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_allones_form_from_line_counts_matches_bordered_determinant(n):
-    assert _allones_form(n) == adjugate_allones_form(transfer_matrix(n - 1))
+    assert _transfer_pair(n)[1] == adjugate_allones_form(transfer_matrix(n - 1))
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -122,7 +121,7 @@ def test_report_json_shape():
 
 @pytest.mark.parametrize("n", range(1, 26))
 def test_resolvent_det_from_the_walk_matches_the_dense_matrix(n):
-    assert _resolvent_det(n) == det_identity_minus_y(transfer_matrix(n - 1))
+    assert _transfer_pair(n)[0] == det_identity_minus_y(transfer_matrix(n - 1))
 
 
 def _clear_matrix_side_caches():
