@@ -19,14 +19,43 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import genfun, labelings, polytope, recurrences
-from .poly import coeff_to_str
+from . import genfun, labelings, poly, polytope, recurrences
 
 EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+#: Exit status and message prefix of each error a command may raise, keyed by
+#: the qualified name of its class.  ``main`` looks a raised error up along its
+#: MRO by name, so mapping an error never runs a layer the command did not use.
+ERROR_EXITS = {
+    "magiccount.labelings.InstanceTooLarge": (EXIT_RESOURCE, "error"),
+    "magiccount.genfun.NotStabilized": (EXIT_MATH_FAILURE, "error"),
+    "magiccount.genfun.InconsistentSamples": (EXIT_MATH_FAILURE, "error"),
+    "builtins.ArithmeticError": (EXIT_INTERNAL, "internal error"),
+    "magiccount.recurrences.UnknownIdentity": (EXIT_USAGE, "error"),
+    "builtins.ValueError": (EXIT_USAGE, "error"),
+}
+
+#: The ids of ``recurrences.CATALOG`` in catalog order, so that building the
+#: parser does not run the recurrences layer.
+IDENTITY_IDS = (
+    "mirror1-diff-eq-mirror2-sum",
+    "inv-step-via-mirror2",
+    "inv-eq-mirror1",
+    "inv-from-mirror2",
+    "mirror2-only-rec",
+    "inv-only-rec",
+    "inv-eq-signed-det",
+    "det-only-rec",
+    "form-rec-via-det",
+    "form-sum-eq-mirror2",
+    "det-diff-eq-form-sum",
+    "form-only-rec",
+    "series-bridge",
+)
 
 
 def _json_dump(payload: object) -> str:
@@ -161,16 +190,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     match = fit.psi == predicted
     if args.format == "json":
         payload = fit.to_json_obj()
-        payload["predicted_psi"] = coeff_to_str(predicted)
+        payload["predicted_psi"] = poly.coeff_to_str(predicted)
         payload["match"] = match
         sys.stdout.write(_json_dump(payload) + "\n")
     else:
         joiner = ";" if args.format == "csv" else ", "
         rows = [
             ["degree", str(fit.degree)],
-            ["phi", joiner.join(coeff_to_str(c) for c in fit.phi)],
-            ["psi", coeff_to_str(fit.psi)],
-            ["predicted psi", coeff_to_str(predicted)],
+            ["phi", joiner.join(poly.coeff_to_str(c) for c in fit.phi)],
+            ["psi", poly.coeff_to_str(fit.psi)],
+            ["predicted psi", poly.coeff_to_str(predicted)],
             ["verdict", "MATCH" if match else "MISMATCH"],
         ]
         sys.stdout.write(_emit_table(["field", "value"], rows, args.format))
@@ -199,10 +228,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
         meta = {"n": args.n, "loops": list(loops), "series": "cycle counts by magic sum"}
     if args.format == "json":
         payload = dict(meta)
-        payload["coefficients"] = [coeff_to_str(c) for c in coeffs]
+        payload["coefficients"] = [poly.coeff_to_str(c) for c in coeffs]
         sys.stdout.write(_json_dump(payload) + "\n")
     else:
-        rows = [[str(i), coeff_to_str(c)] for i, c in enumerate(coeffs)]
+        rows = [[str(i), poly.coeff_to_str(c)] for i, c in enumerate(coeffs)]
         sys.stdout.write(_emit_table(["index", "coefficient"], rows, args.format))
     return EXIT_OK
 
@@ -238,10 +267,10 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
     if args.series is not None:
         coeffs = polytope.simplex_series(args.n, args.series)
         if args.format == "json":
-            payload = {"n": args.n, "coefficients": [coeff_to_str(c) for c in coeffs]}
+            payload = {"n": args.n, "coefficients": [poly.coeff_to_str(c) for c in coeffs]}
             sys.stdout.write(_json_dump(payload) + "\n")
         else:
-            rows = [[str(i), coeff_to_str(c)] for i, c in enumerate(coeffs)]
+            rows = [[str(i), poly.coeff_to_str(c)] for i, c in enumerate(coeffs)]
             sys.stdout.write(_emit_table(["s", "count"], rows, args.format))
         return EXIT_OK
     verts = polytope.hyperplane_vertices(args.n) if args.hyperplane else polytope.vertices(args.n)
@@ -253,8 +282,8 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
             rows.append(
                 [
                     "fractional" if v.is_fractional else "{" + ", ".join(map(str, v.support)) + "}",
-                    " ".join(coeff_to_str(c) for c in v.alpha),
-                    " ".join(coeff_to_str(c) for c in v.beta),
+                    " ".join(poly.coeff_to_str(c) for c in v.alpha),
+                    " ".join(poly.coeff_to_str(c) for c in v.beta),
                 ]
             )
         sys.stdout.write(_emit_table(["stable set", "alpha", "beta"], rows, args.format))
@@ -288,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common], help="certify the identity catalog")
     p_verify.add_argument("--all", action="store_true", help="check every identity (default)")
-    p_verify.add_argument("--id", action="append", choices=sorted(recurrences.CATALOG), help="check one identity")
+    p_verify.add_argument("--id", action="append", choices=sorted(IDENTITY_IDS), help="check one identity")
     p_verify.add_argument("--n-max", type=_size, default=12)
     p_verify.set_defaults(handler=_cmd_verify)
 
@@ -337,18 +366,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except labelings.InstanceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (genfun.NotStabilized, genfun.InconsistentSamples) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH_FAILURE
-    except ArithmeticError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (recurrences.UnknownIdentity, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ArithmeticError, KeyError, ValueError) as exc:
+        for cls in type(exc).__mro__:
+            mapped = ERROR_EXITS.get(f"{cls.__module__}.{cls.__qualname__}")
+            if mapped is not None:
+                status, prefix = mapped
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return status
+        raise
 
 
 if __name__ == "__main__":

@@ -32,11 +32,10 @@ the independent oracle the fast counters are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 
 class LengthMismatch(ValueError):
@@ -150,25 +149,48 @@ def transfer_walk(s: int, length: int) -> tuple[list[int], list[int]]:
 # -- graph description and the enumeration oracle ----------------------------
 
 
-@dataclass(frozen=True)
 class GraphSpec:
-    """A pseudo-line or pseudo-cycle instance with per-vertex loop counts."""
+    """A pseudo-line or pseudo-cycle instance with per-vertex loop counts.
+
+    Immutable and hashable; validated on construction.
+    """
 
     kind: str  # "line" or "cycle"
     n: int
     loops: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("line", "cycle"):
-            raise ValueError(f"unknown graph kind {self.kind!r}")
-        if self.n < 0:
+    def __init__(self, kind: str, n: int, loops: tuple[int, ...]) -> None:
+        if kind not in ("line", "cycle"):
+            raise ValueError(f"unknown graph kind {kind!r}")
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if self.kind == "cycle" and self.n < 1:
+        if kind == "cycle" and n < 1:
             raise ValueError("cycles need at least one vertex")
-        if len(self.loops) != self.n:
-            raise LengthMismatch(f"expected {self.n} loop counts, got {len(self.loops)}")
-        if any(k < 0 for k in self.loops):
+        if len(loops) != n:
+            raise LengthMismatch(f"expected {n} loop counts, got {len(loops)}")
+        if any(k < 0 for k in loops):
             raise ValueError("loop counts must be nonnegative")
+        vars(self).update(kind=kind, n=n, loops=loops)
+
+    def _key(self) -> tuple[str, int, tuple[int, ...]]:
+        return self.kind, self.n, self.loops
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GraphSpec(kind={self.kind!r}, n={self.n!r}, loops={self.loops!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @staticmethod
     def line(n: int, m: int) -> GraphSpec:
@@ -263,12 +285,23 @@ def brute_force_count(spec: GraphSpec, s: int, var_cap: int = 10, s_cap: int = 8
     return extend(0)
 
 
-@dataclass
 class CountTable:
     """Exact counts h(s) for one graph instance, keyed by magic sum."""
 
     spec: GraphSpec
-    counts: dict[int, int] = field(default_factory=dict)
+    counts: dict[int, int]
+
+    def __init__(self, spec: GraphSpec, counts: Optional[dict[int, int]] = None) -> None:
+        self.spec = spec
+        self.counts = {} if counts is None else counts
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.counts) == (other.spec, other.counts)
+
+    def __repr__(self) -> str:
+        return f"CountTable(spec={self.spec!r}, counts={self.counts!r})"
 
     @staticmethod
     def compute(spec: GraphSpec, s_values: Sequence[int]) -> CountTable:

@@ -22,14 +22,13 @@ an exact quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from operator import add, or_
 from typing import Optional
 
-from .matrices import rational_rank
+from . import matrices
 from .poly import Coeff, Poly, coeff_to_str, series_quotient
 
 
@@ -104,18 +103,42 @@ def max_stable_count(n: int) -> int:
     return len(stable_sets_of_size(n, n // 2))
 
 
-@dataclass(frozen=True)
 class Vertex:
     """A vertex of the scaled one-loop cycle polytope.
 
     ``alpha`` holds the loop coordinates, ``beta`` the ring coordinates;
     ``support`` is the defining stable set for integral vertices and None
-    for the fractional vertex.
+    for the fractional vertex.  Immutable and hashable.
     """
 
     alpha: tuple[Coeff, ...]
     beta: tuple[Coeff, ...]
     support: Optional[tuple[int, ...]]
+
+    def __init__(
+        self, alpha: tuple[Coeff, ...], beta: tuple[Coeff, ...], support: Optional[tuple[int, ...]]
+    ) -> None:
+        vars(self).update(alpha=alpha, beta=beta, support=support)
+
+    def _key(self) -> tuple:
+        return self.alpha, self.beta, self.support
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"Vertex(alpha={self.alpha!r}, beta={self.beta!r}, support={self.support!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def is_fractional(self) -> bool:
@@ -196,7 +219,7 @@ def simplex_vertices(n: int) -> list[Vertex]:
 def affinely_independent(points: list[Vertex]) -> bool:
     """Exact rank test on homogenized coordinates."""
     rows = [list(v.coordinates()) + [1] for v in points]
-    return rational_rank(rows) == len(points)
+    return matrices.rational_rank(rows) == len(points)
 
 
 def simplex_series(n: int, order: int) -> list[Fraction]:

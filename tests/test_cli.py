@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from magiccount import genfun, polytope, recurrences
+from magiccount import cli, genfun, labelings, poly, polytope, recurrences
 from magiccount.cli import main
 
 
@@ -274,6 +274,39 @@ def test_arithmetic_fault_is_an_internal_error(capsys, monkeypatch, cold_transfe
 def test_verify_unknown_identity_is_usage_error(capsys):
     code, _, _ = run(capsys, "verify", "--id", "unknown")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (labelings.InstanceTooLarge, 3, "error"),
+        (genfun.NotStabilized, 1, "error"),
+        (genfun.InconsistentSamples, 1, "error"),
+        (ArithmeticError, 4, "internal error"),
+        (poly.ZeroConstantTerm, 4, "internal error"),
+        (recurrences.UnknownIdentity, 2, "error"),
+        (labelings.LengthMismatch, 2, "error"),
+        (ValueError, 2, "error"),
+    ],
+)
+def test_library_errors_map_to_exit_codes(capsys, monkeypatch, error, code, prefix):
+    def raise_it(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_count", raise_it)
+    status, out, err = run(capsys, "count", "--cycle", "-n", "1")
+    assert status == code
+    assert out == ""
+    assert err.startswith(f"{prefix}: ") and "boom" in err
+
+
+def test_unmapped_errors_propagate(capsys, monkeypatch):
+    def raise_it(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_count", raise_it)
+    with pytest.raises(KeyError):
+        main(["count", "--cycle", "-n", "1"])
 
 
 def test_table_line_rows(capsys):

@@ -71,6 +71,25 @@ def test_graph_spec_validation():
         GraphSpec.cycle(0, ())
     with pytest.raises(ValueError):
         GraphSpec.line(2, -1)
+    with pytest.raises(ValueError):
+        GraphSpec("line", -1, ())
+    with pytest.raises(ValueError):
+        GraphSpec.cycle(2, (1, -1))
+
+
+def test_graph_spec_is_an_immutable_value():
+    spec = GraphSpec.cycle(3, (1, 2, 1))
+    same = GraphSpec("cycle", 3, (1, 2, 1))
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    assert spec != GraphSpec.cycle(3, (1, 2, 2))
+    assert GraphSpec.line(2, 1) != GraphSpec.cycle(2, (1, 1))
+    assert spec != ("cycle", 3, (1, 2, 1))
+    assert repr(spec) == "GraphSpec(kind='cycle', n=3, loops=(1, 2, 1))"
+    with pytest.raises(AttributeError, match="cannot assign to field 'n'"):
+        spec.n = 4
+    with pytest.raises(AttributeError):
+        del spec.loops
+    assert (spec.kind, spec.n, spec.loops) == ("cycle", 3, (1, 2, 1))
 
 
 def test_brute_force_hand_enumerable_values():
@@ -179,6 +198,19 @@ def test_count_table_round_trips():
     payload = json.loads(json.dumps(table.to_json_obj()))
     assert payload["counts"]["3"] == "6"
     assert payload["kind"] == "cycle" and payload["loops"] == [2]
+
+
+def test_count_table_equality_and_repr():
+    spec = GraphSpec.cycle(1, (2,))
+    table = CountTable.compute(spec, range(2))
+    assert table == CountTable(spec, {0: 1, 1: 2})
+    assert table != CountTable(spec, {0: 1})
+    assert table != CountTable(GraphSpec.line(1, 2), {0: 1, 1: 2})
+    assert repr(table) == "CountTable(spec=GraphSpec(kind='cycle', n=1, loops=(2,)), counts={0: 1, 1: 2})"
+    empty = CountTable(spec)
+    assert empty.counts == {} and empty.counts is not CountTable(spec).counts
+    with pytest.raises(TypeError):
+        hash(table)  # mutable, like its counts
 
 
 def test_count_table_entries_are_reproducible():

@@ -159,6 +159,21 @@ def test_check_rejects_a_broken_vertex():
         Vertex(alpha=(1, 1), beta=(0, 0, 0), support=()).check()
 
 
+def test_vertex_is_an_immutable_value():
+    v = vertex_for_stable_set(3, (0,))
+    same = Vertex(alpha=(0, 1, 0), beta=(1, 0, 0), support=(0,))
+    assert v == same and hash(v) == hash(same) and len({v, same}) == 1
+    assert v != vertex_for_stable_set(3, (1,))
+    assert fractional_vertex(3) == Vertex((0, 0, 0), (Fraction(1, 2),) * 3, None)
+    assert v != ((0, 1, 0), (1, 0, 0), (0,))
+    assert repr(v) == "Vertex(alpha=(0, 1, 0), beta=(1, 0, 0), support=(0,))"
+    with pytest.raises(AttributeError, match="cannot assign to field 'support'"):
+        v.support = None
+    with pytest.raises(AttributeError):
+        del v.alpha
+    assert v.support == (0,)
+
+
 def test_hyperplane_requires_odd_n():
     with pytest.raises(EvenN):
         hyperplane_vertices(4)
