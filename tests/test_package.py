@@ -40,10 +40,8 @@ def _env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
-def _run(argv, *prefix) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, *prefix, *argv], env=_env(), capture_output=True, text=True, timeout=60
-    )
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=_env(), capture_output=True, text=True, timeout=60)
 
 
 # -- start-up: a command executes only the layers it uses -----------------------
@@ -58,7 +56,7 @@ def _run(argv, *prefix) -> subprocess.CompletedProcess:
     ],
 )
 def test_a_command_executes_only_the_layers_it_uses(argv, status, executed):
-    proc = _run(argv, "-c", REPORT)
+    proc = _python("-c", REPORT, *argv)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["status"] == status
@@ -70,7 +68,7 @@ def test_a_command_executes_only_the_layers_it_uses(argv, status, executed):
 
 
 def test_the_probe_job_prints_h0():
-    proc = _run(PROBE, "-m", "magiccount.cli")
+    proc = _python("-m", "magiccount.cli", *PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["s", "count", "0", "1"]
 
@@ -82,7 +80,7 @@ def test_static_identity_ids_follow_the_catalog():
 def test_traced_probe_job_records_its_count_span(tmp_path):
     """The benchmark's traced launcher wraps every layer after importing cli."""
     trace = tmp_path / "trace.json"
-    proc = _run(PROBE, str(ROOT / "perfbench" / "launch.py"), str(trace))
+    proc = _python(str(ROOT / "perfbench" / "launch.py"), str(trace), *PROBE)
     assert proc.returncode == 0, proc.stderr
     record = json.loads(trace.read_text())
     assert record["exit"] == 0
