@@ -27,18 +27,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-#: Exit status and message prefix of each error a command may raise, keyed by
-#: the qualified name of its class.  ``main`` looks a raised error up along its
-#: MRO by name, so mapping an error never runs a layer the command did not use.
-ERROR_EXITS = {
-    "magiccount.labelings.InstanceTooLarge": (EXIT_RESOURCE, "error"),
-    "magiccount.genfun.NotStabilized": (EXIT_MATH_FAILURE, "error"),
-    "magiccount.genfun.InconsistentSamples": (EXIT_MATH_FAILURE, "error"),
-    "builtins.ArithmeticError": (EXIT_INTERNAL, "internal error"),
-    "magiccount.recurrences.UnknownIdentity": (EXIT_USAGE, "error"),
-    "builtins.ValueError": (EXIT_USAGE, "error"),
-}
-
 #: The ids of ``recurrences.CATALOG`` in catalog order, so that building the
 #: parser does not run the recurrences layer.
 IDENTITY_IDS = (
@@ -366,14 +354,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (ArithmeticError, KeyError, ValueError) as exc:
-        for cls in type(exc).__mro__:
-            mapped = ERROR_EXITS.get(f"{cls.__module__}.{cls.__qualname__}")
-            if mapped is not None:
-                status, prefix = mapped
-                print(f"{prefix}: {exc}", file=sys.stderr)
-                return status
-        raise
+    except labelings.InstanceTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (genfun.NotStabilized, genfun.InconsistentSamples) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MATH_FAILURE
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (recurrences.UnknownIdentity, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -48,18 +48,17 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 @pytest.mark.parametrize(
-    "argv, status, executed",
+    "argv, executed",
     [
-        (PROBE, 0, {"cli", "labelings"}),
-        (("count", "--cycle", "-n", "1", "-k", "x"), 2, {"cli", "labelings"}),
-        (("polytope", "-n", "5"), 0, {"cli", "poly", "polytope"}),
+        (PROBE, {"cli", "labelings"}),
+        (("polytope", "-n", "5"), {"cli", "poly", "polytope"}),
     ],
 )
-def test_a_command_executes_only_the_layers_it_uses(argv, status, executed):
+def test_a_command_executes_only_the_layers_it_uses(argv, executed):
     proc = _python("-c", REPORT, *argv)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["status"] == status
+    assert report["status"] == 0
     assert set(report["layers"]) == set(LAYERS), "every layer is registered in sys.modules"
     assert {layer for layer, ran in report["layers"].items() if ran} == executed
     assert {"inspect", "dataclasses"}.isdisjoint(report["modules"])
