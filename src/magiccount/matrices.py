@@ -16,10 +16,12 @@ scaled by the lcm of their denominators, which changes neither the rank
 nor the solution, so every entry stays an integer minor.
 No elimination builds the matrix polynomials.  det(I - yM) comes from
 the power sums trace(M^r), r = 1..n, by Newton's identities, with every
-division checked to be exact (``det_from_power_sums``); the powers are
-formed from the nonzero entries of each row, so the sparse families cost
-O(n^3) for the whole polynomial.  ``char_poly``, det(yI - M), is its
-coefficient reversal.  The bordered-determinant sweep of
+division checked to be exact (``det_from_power_sums``).  Each row of a
+power is packed into one integer, with digits wide enough for a proven
+bound on the entries, and formed from the nonzero entries of a row of M,
+so the sparse families cost O(n^2) interpreted steps for the whole
+polynomial; the digit arithmetic runs in C.  ``char_poly``, det(yI - M),
+is its coefficient reversal.  The bordered-determinant sweep of
 ``adjugate_allones_form``, n+1 Bareiss determinants and one
 interpolation, is the reference the tests check against.
 """
@@ -252,23 +254,35 @@ def det_from_power_sums(power_sums: Sequence[int]) -> Poly:
 def _power_sums(m: Matrix) -> list[int]:
     """trace(M^r) for r = 1..n.
 
-    Each power is M times the last one, row by row: a row of M adds up
-    one row of the last power per nonzero entry, so a matrix with at
-    most three nonzeros per row costs O(n^2) per power.
+    Row i of M^r is packed into one integer, entry j in a signed digit
+    of ``width`` bits: Sum_j (M^r)_ij 2^(width*j).  Each power is M times
+    the last one, so row i of M^(r+1) is Sum_k M_ik (row k of M^r), one
+    big-integer product and sum per nonzero entry of M.  A matrix with
+    at most three nonzeros per row thus costs O(n) interpreted steps per
+    power and O(n^2) for all n powers; the digit arithmetic runs in C.
+
+    The width comes from a proven bound, not from the values: for
+    r <= n, |(M^r)_ij| <= ||M||^r <= B = max(1, ||M||^n), where ||M|| is
+    the largest absolute row sum.  With width = bitlength(B) + 1 every
+    entry lies in [-half, half) for half = 2^(width-1) > B; one bit less
+    would leave half <= B, and an entry equal to B would overflow.  Adding
+    ``half`` to every digit makes all digits nonnegative, so no borrow
+    crosses a digit and the diagonal digit of row i reads back exactly.
     """
     n = m.order
     nonzero = [[(j, a) for j, a in enumerate(row) if a] for row in m.rows]
-    power = [list(row) for row in m.rows]
+    norm = max((sum(abs(a) for _, a in terms) for terms in nonzero), default=0)
+    width = max(1, norm**n).bit_length() + 1
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    bias = half * (((1 << (width * n)) - 1) // mask)
+    shifts = range(0, width * n, width)
+    power = [sum(a << shifts[j] for j, a in terms) for terms in nonzero]
     sums = []
     for r in range(n):
         if r:
-            previous, power = power, []
-            for terms in nonzero:
-                row = [0] * n
-                for j, a in terms:
-                    row = [x + a * y for x, y in zip(row, previous[j])]
-                power.append(row)
-        sums.append(sum(power[i][i] for i in range(n)))
+            power = [sum(a * power[j] for j, a in terms) for terms in nonzero]
+        sums.append(sum(((v + bias) >> shift) & mask for v, shift in zip(power, shifts)) - n * half)
     return sums
 
 

@@ -25,6 +25,8 @@ class ZeroConstantTerm(ZeroDivisionError):
 
 def _canon(value: Coeff) -> Coeff:
     """Collapse integer-valued Fractions to plain ints."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return value

@@ -1,7 +1,8 @@
 """Structured matrix families and exact determinant machinery."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
+from operator import matmul
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from magiccount.matrices import (
     _echelon,
     _integral_rows,
     _interpolate_integral,
+    _power_sums,
     adjugate_allones_form,
     char_poly,
     det,
@@ -428,3 +430,86 @@ def test_char_poly_of_the_families_matches_elimination(family, n):
 def test_power_sums_of_no_integer_matrix_raise(power_sums):
     with pytest.raises(ArithmeticError, match="not a multiple"):
         det_from_power_sums(power_sums)
+
+
+# -- packed power sums: the digit width bound ---------------------------------
+
+
+def _dense_power_traces(m):
+    """trace(M^r), r = 1..n, from dense products M^r = M^(r-1) @ M."""
+    return [p.trace() for p in accumulate(repeat(m, m.order), matmul)]
+
+
+def _diagonal(entries):
+    n = len(entries)
+    return Matrix([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda n: transfer_matrix(n - 1),
+        transfer_inverse,
+        lambda n: mirror_tridiagonal(n, 1),
+        lambda n: mirror_tridiagonal(n, 2),
+    ],
+    ids=["transfer", "inverse", "mirror1", "mirror2"],
+)
+@pytest.mark.parametrize("n", range(1, 33))
+def test_power_sums_of_the_families_match_dense_powers(family, n):
+    m = family(n)
+    assert _power_sums(m) == _dense_power_traces(m)
+
+
+# In each case below some diagonal entry of M^n reaches the width bound
+# max(1, ||M||^n) in absolute value, so a digit one bit narrower overflows.
+@pytest.mark.parametrize("k", [1, 2, 7, 31])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        lambda k, n: [-(2**k)] * n,
+        lambda k, n: [2**k - 1] * n,
+        lambda k, n: [(-1) ** i * (2**k - 1) for i in range(n)],
+        lambda k, n: [(-1) ** (i + 1) * 2**k for i in range(n)],
+    ],
+    ids=["minus_power_of_two", "power_of_two_minus_one", "alternating_plus_first", "alternating_minus_first"],
+)
+def test_power_sums_at_the_width_bound(entries, n, k):
+    m = _diagonal(entries(k, n))
+    assert _power_sums(m) == _dense_power_traces(m)
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_power_sums_with_a_negative_digit_under_the_diagonal(sign, k):
+    # Row 0 reaches the bound; row 1 of every power holds a digit of
+    # the opposite sign to its diagonal digit right below it.
+    a = 2**k - 1
+    m = Matrix([[sign * a, 0, 0], [-sign, sign * (a - 1), 0], [0, sign, -sign * (a - 1)]])
+    assert _power_sums(m) == _dense_power_traces(m)
+
+
+@pytest.mark.parametrize("value", [1, -1, 3, -3, 2**40, -(2**40)])
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
+def test_power_sums_of_a_single_off_diagonal_entry(value, i, j):
+    rows = [[0] * 3 for _ in range(3)]
+    rows[i][j] = value
+    m = Matrix(rows)
+    assert _power_sums(m) == _dense_power_traces(m) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n", range(5))  # n = 0 is the empty matrix
+def test_power_sums_of_the_zero_matrix(n):
+    assert _power_sums(Matrix([[0] * n for _ in range(n)])) == [0] * n
+
+
+@pytest.mark.parametrize("entry", [0, 1, -1, 2**70, -(2**70)])
+def test_power_sums_of_order_one(entry):
+    assert _power_sums(Matrix([[entry]])) == [entry]
+
+
+@given(_square(entries=st.integers(min_value=-(2**70), max_value=2**70), max_order=8))
+def test_power_sums_match_matrix_powers(rows):
+    m = Matrix(rows)
+    assert _power_sums(m) == [m.power(r).trace() for r in range(1, m.order + 1)]

@@ -38,6 +38,23 @@ def test_trailing_zeros_are_stripped():
     assert Poly().degree == -1
 
 
+def test_integer_valued_fraction_coefficient_becomes_int():
+    c = Poly((Fraction(4, 2),)).coeffs[0]
+    assert c == 2 and type(c) is int
+
+
+def test_non_integer_fraction_coefficient_stays_a_fraction():
+    c = Poly((Fraction(1, 2),)).coeffs[0]
+    assert c == Fraction(1, 2) and type(c) is Fraction
+
+
+def test_bool_coefficients_are_kept_as_given():
+    p = Poly((True, 2, False))
+    assert p.coeffs == (True, 2) and type(p.coeffs[0]) is bool
+    assert Poly((False,)).is_zero()
+    assert p * Poly((1, 1)) == Poly((1, 3, 2))
+
+
 def test_negate_variable_flips_odd_terms():
     assert Poly((1, -2, -1)).negate_variable() == Poly((1, 2, -1))
     assert Poly().negate_variable() == Poly()
