@@ -5,6 +5,17 @@ text (aligned columns), csv, or json; every numeric value is rendered as
 a decimal string, rationals as "p/q", so nothing is ever squeezed
 through a 64-bit float.
 
+JSON goes through ``_json_dump``, a small writer whose output is byte for
+byte ``json.dumps(payload, indent=2, sort_keys=True)``.  It takes dicts
+with ``str`` keys, lists, tuples, ``str``, ``int``, ``bool`` and None, and
+raises ``TypeError`` on anything else, floats included: the CLI never
+prints a float.  A list of only strings or only ints is written with one
+``join``, so a listing costs one interpreted step per row, not per
+coordinate.  ``json.encoder`` is imported on the first JSON write only.
+
+Exact answers print in full: ``main`` lifts CPython's limit on the digits
+of an int-to-str conversion once the arguments are parsed.
+
 Exit codes: 0 success, 1 mathematical failure (an identity breaks, a
 table fails to stabilize, a fitted constant misses its prediction),
 2 usage error, 3 work budget exceeded (the brute-force caps, the polytope
@@ -15,7 +26,6 @@ cannot produce, such as a division that must be exact and is not.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -47,15 +57,49 @@ IDENTITY_IDS = (
 
 
 def _json_dump(payload: object) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """``json.dumps(payload, indent=2, sort_keys=True)``, byte for byte, for CLI payloads."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    def write(value: object, indent: str) -> str:
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = indent + "  "
+            # quote raises TypeError on a key that is not a str
+            items = (quote(key) + ": " + write(value[key], inner) for key in sorted(value))
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = indent + "  "
+            kinds = set(map(type, value))
+            if kinds == {str}:
+                items = map(quote, value)
+            elif kinds == {int}:
+                items = map(int.__repr__, value)
+            else:
+                items = (write(item, inner) for item in value)
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        if isinstance(value, str):
+            return quote(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return write(payload, "")
 
 
 def _emit_table(headers: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
-        return "\n".join([",".join(headers)] + [",".join(r) for r in rows]) + "\n"
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    lines += ["  ".join(r[i].ljust(widths[i]) for i in range(len(headers))) for r in rows]
+        return "\n".join([",".join(headers), *map(",".join, rows)]) + "\n"
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    lines = ["  ".join(map(str.ljust, r, widths)) for r in [headers, *rows]]
     return "\n".join(lines) + "\n"
 
 
@@ -267,13 +311,9 @@ def _cmd_polytope(args: argparse.Namespace) -> int:
     else:
         rows = []
         for v in verts:
-            rows.append(
-                [
-                    "fractional" if v.is_fractional else "{" + ", ".join(map(str, v.support)) + "}",
-                    " ".join(poly.coeff_to_str(c) for c in v.alpha),
-                    " ".join(poly.coeff_to_str(c) for c in v.beta),
-                ]
-            )
+            alpha, beta = v.coordinate_texts()
+            support = "fractional" if v.is_fractional else "{" + ", ".join(map(str, v.support)) + "}"
+            rows.append([support, " ".join(alpha), " ".join(beta)])
         sys.stdout.write(_emit_table(["stable set", "alpha", "beta"], rows, args.format))
     return EXIT_OK
 
@@ -352,6 +392,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # Arguments are parsed under the default digit limit; answers are exact
+    # and may be longer than it.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except labelings.InstanceTooLarge as exc:

@@ -38,6 +38,11 @@ from .poly import Coeff, Poly, coeff_to_str, series_quotient
 MAX_LISTED_CELLS = 10**7
 
 
+#: The text of every coordinate a vertex holds, so that a listing renders a
+#: coordinate with one dict lookup instead of a ``coeff_to_str`` call.
+COORDINATE_TEXT = {0: "0", 1: "1", Fraction(1, 2): "1/2"}
+
+
 class EvenN(ValueError):
     """Operation is defined for odd cycle lengths only."""
 
@@ -162,10 +167,19 @@ class Vertex:
         if min(self.coordinates(), default=0) < 0:
             raise AssertionError("vertex has a negative coordinate")
 
+    def coordinate_texts(self) -> tuple[list[str], list[str]]:
+        """``alpha`` and ``beta`` as ``coeff_to_str`` texts."""
+        text = COORDINATE_TEXT.__getitem__
+        try:
+            return list(map(text, self.alpha)), list(map(text, self.beta))
+        except KeyError:
+            return list(map(coeff_to_str, self.alpha)), list(map(coeff_to_str, self.beta))
+
     def to_json_obj(self) -> dict[str, object]:
+        alpha, beta = self.coordinate_texts()
         return {
-            "alpha": [coeff_to_str(c) for c in self.alpha],
-            "beta": [coeff_to_str(c) for c in self.beta],
+            "alpha": alpha,
+            "beta": beta,
             "stable_set": None if self.support is None else list(self.support),
         }
 

@@ -1,9 +1,12 @@
 """Command-line surface: outputs, formats, exit codes."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from magiccount import cli, genfun, labelings, poly, polytope, recurrences
 from magiccount.cli import main
@@ -433,3 +436,62 @@ def test_json_output_round_trips(capsys, argv):
     assert code == 0
     rendered = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert rendered == out
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+#: Quotes, backslashes, control characters, DEL, non-ASCII and astral code points.
+_awkward_text = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7f\xe9\u2028\U0001f600'))
+_text = st.one_of(st.text(), _awkward_text)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=-(10**60), max_value=10**60), _text
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(_text),
+        st.lists(st.integers()),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.dictionaries(_text, inner),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+@example({})
+@example([])
+@example({"": [[], {}, ()], "a\"b": ["\x00", "\u00e9"], "k": [True, 1, False, 0, -(2**80)]})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_dump(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, {"a": [0.0]}, [1, 2.0], {1: "a"}, {"a": 1, 2: "b"}, {None: 1}, [object()], {"k": {1, 2}}],
+)
+def test_json_writer_refuses_floats_non_str_keys_and_other_objects(payload):
+    with pytest.raises(TypeError):
+        cli._json_dump(payload)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int-to-str digit limit, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_answers_past_the_digit_limit_print_in_full(capsys, default_digit_limit):
+    code, out, err = run(capsys, "series", "--line", "-s", "2", "--order", "7000", "--format", "csv")
+    assert code == 0, err
+    last = genfun.line_series_in_y(2, 7000)[-1]
+    assert len(str(last)) > 4300
+    assert out.splitlines()[-1] == f"7000,{last}"

@@ -25,13 +25,16 @@ PROBE = ("count", "--cycle", "-n", "1", "-k", "0", "--s-max", "0")
 #: Runs one command in-process, then reports its exit status, the layer
 #: modules whose bodies ran and every module imported.  ``type()`` does not
 #: trigger a lazy load, so reading it leaves the layers as the command left them.
+#: The module list is taken before the script imports ``json`` to print it.
 REPORT = """
-import json, sys, types
+import sys, types
 from magiccount import cli
 status = cli.main(sys.argv[1:])
+modules = sorted(sys.modules)
 layers = {name.split(".")[1]: type(module) is types.ModuleType
           for name, module in sys.modules.items() if name.startswith("magiccount.")}
-print(json.dumps({"status": status, "layers": layers, "modules": sorted(sys.modules)}))
+import json
+print(json.dumps({"status": status, "layers": layers, "modules": modules}))
 """
 
 
@@ -52,6 +55,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     [
         (PROBE, {"cli", "labelings"}),
         (("polytope", "-n", "5"), {"cli", "poly", "polytope"}),
+        (("polytope", "-n", "5", "--format", "json"), {"cli", "poly", "polytope"}),
     ],
 )
 def test_a_command_executes_only_the_layers_it_uses(argv, executed):
@@ -64,6 +68,7 @@ def test_a_command_executes_only_the_layers_it_uses(argv, executed):
     assert {"inspect", "dataclasses"}.isdisjoint(report["modules"])
     if argv[0] == "count":
         assert "fractions" not in report["modules"]
+    assert ("json" in report["modules"]) == ("json" in argv), "only a JSON write imports json"
 
 
 def test_the_probe_job_prints_h0():

@@ -23,7 +23,7 @@ from magiccount.polytope import (
     vertex_for_stable_set,
     vertices,
 )
-from magiccount.poly import Poly, series_quotient
+from magiccount.poly import Poly, coeff_to_str, series_quotient
 
 
 @cache
@@ -157,6 +157,23 @@ def test_check_rejects_a_broken_vertex():
         Vertex(alpha=(-1, -1, -1), beta=(1, 1, 1), support=None).check()
     with pytest.raises(AssertionError, match="unequal numbers"):
         Vertex(alpha=(1, 1), beta=(0, 0, 0), support=()).check()
+
+
+@pytest.mark.parametrize(
+    "vertex",
+    [
+        fractional_vertex(5),
+        vertex_for_stable_set(6, (1, 4)),
+        Vertex(alpha=(Fraction(1, 3), 2, True), beta=(Fraction(4, 2), 0, Fraction(-1, 2)), support=None),
+        Vertex(alpha=(1, Fraction(1, 2)), beta=(7, 0), support=()),
+    ],
+)
+def test_coordinate_texts_agree_with_coeff_to_str(vertex):
+    """Coordinates outside the table take the coeff_to_str path for the whole vertex."""
+    alpha, beta = vertex.coordinate_texts()
+    assert alpha == list(map(coeff_to_str, vertex.alpha))
+    assert beta == list(map(coeff_to_str, vertex.beta))
+    assert vertex.to_json_obj()["alpha"] == alpha and vertex.to_json_obj()["beta"] == beta
 
 
 def test_vertex_is_an_immutable_value():
