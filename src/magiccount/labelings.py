@@ -20,22 +20,34 @@ The fast counters run a dynamic program over the chain of non-loop
 labels, one vertex at a time.  Since C(j+k-1, k-1) is the k-fold prefix
 sum of a point mass at 0, one vertex step is k prefix sums of the state
 read back in reverse, new[b'] = (P^k state)[s - b'], which costs O(k*s)
-instead of the O(s^2) of the direct convolution.  A line of n vertices
-then costs O(n*k*s) at each s, and a ring, which repeats the walk from
-each of the s + 1 values of its first edge, O(n*k*s^2).
-``transfer_walk`` runs the same walks for the powers of one transfer
-matrix at once, giving its traces (ring counts) and all-ones moments
-(line counts), from which the matrix side builds its polynomials.
+instead of the O(s^2) of the direct convolution; it multiplies the state
+by the transfer matrix T_k with entries loop_ways(s - i - j, k).  Two
+walks run that step over the vertices, and each is read after every
+vertex.  The line walk starts from the all-ones state u and sums the
+state, giving u^T T_{k_1} ... T_{k_r} u for every prefix r; it costs
+O(n*k*s) at each s.  The ring walk starts from a point mass at each of
+the s + 1 values b0 of the first edge and reads the state back at b0,
+giving trace(T_{k_1} ... T_{k_r}); it costs O(n*k*s^2).  The counters
+read the last prefix; ``transfer_walk`` reads every prefix of the
+two-loop walks, the traces (ring counts) and all-ones moments (line
+counts) of the powers of one transfer matrix, from which the matrix side
+builds its polynomials.
 ``brute_force_count`` enumerates every edge labeling one by one and is
 the independent oracle the fast counters are tested against.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import accumulate, repeat
 from math import comb
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+
+#: Work budget of the ``count`` command's DP table, in state cells (see
+#: ``cli._check_count_size``).  A cell of small labels costs tens of
+#: nanoseconds, so such a table at the budget takes a few seconds.
+MAX_DP_CELLS = 10**8
 
 
 class LengthMismatch(ValueError):
@@ -46,7 +58,8 @@ class InstanceTooLarge(ValueError):
     """Work refused before it starts: the instance exceeds a work budget.
 
     Raised for brute-force enumeration beyond its caps (raise the caps to
-    force it) and, by the command line, for polytope listings beyond
+    force it) and, by the command line, for DP tables beyond
+    ``MAX_DP_CELLS`` and polytope listings beyond
     ``polytope.MAX_LISTED_CELLS``.
     """
 
@@ -72,13 +85,38 @@ def _step(state: list[int], k: int) -> list[int]:
     return state[::-1]
 
 
-def _count_chain(loops: Iterable[int], s: int) -> int:
-    """Line count for per-vertex loop counts; no vertices gives s + 1."""
+def _line_walk(loops: Iterable[int], s: int) -> Iterator[list[int]]:
+    """The line walk's state before the first vertex and after every vertex.
+
+    The state after r vertices is T_{k_r} ... T_{k_1} u for the all-ones
+    u, so its sum is the line count u^T T_{k_1} ... T_{k_r} u of that
+    prefix (s + 1 for r = 0).  The walk yields states, not sums, so a
+    reader that needs only the last count sums only the last state, and
+    it holds one state whatever the number of vertices.
+    """
     # state[b] = number of partial labelings with current chain label b
     state = [1] * (s + 1)
+    yield state
     for k in loops:
         state = _step(state, k)
-    return sum(state)
+        yield state
+
+
+def _ring_walk(loops: Iterable[int], s: int) -> Iterator[int]:
+    """Ring counts of every prefix: trace(T_{k_1} ... T_{k_r}) for r = 0, 1, ...
+
+    Row b0 walks from a point mass at the first-edge value b0, and the
+    trace reads each row back at its own b0; r = 0 gives s + 1.  The rows
+    advance together, one vertex at a time, so the walk holds (s + 1)^2
+    labels whatever the number of vertices.
+    """
+    rows = [[0] * (s + 1) for _ in range(s + 1)]
+    for b0, row in enumerate(rows):
+        row[b0] = 1
+    yield s + 1
+    for k in loops:
+        rows = [_step(row, k) for row in rows]
+        yield sum(map(list.__getitem__, rows, range(s + 1)))
 
 
 def count_line(n: int, m: int, s: int) -> int:
@@ -89,7 +127,7 @@ def count_line(n: int, m: int, s: int) -> int:
     """
     if n < 0 or m < 0 or s < 0:
         raise ValueError("arguments must be nonnegative")
-    return _count_chain(repeat(m, n), s)
+    return sum(deque(_line_walk(repeat(m, n), s), maxlen=1).pop())
 
 
 def count_cycle(n: int, loops: Sequence[int], s: int) -> int:
@@ -106,15 +144,7 @@ def count_cycle(n: int, loops: Sequence[int], s: int) -> int:
         raise LengthMismatch(f"expected {n} loop counts, got {len(loops)}")
     if any(k < 0 for k in loops):
         raise ValueError("loop counts must be nonnegative")
-    total = 0
-    for b0 in range(s + 1):
-        # walk the ring from edge 0 back around to edge 0
-        state = [0] * (s + 1)
-        state[b0] = 1
-        for k in loops:
-            state = _step(state, k)
-        total += state[b0]
-    return total
+    return deque(_ring_walk(loops, s), maxlen=1).pop()
 
 
 def transfer_walk(s: int, length: int) -> tuple[list[int], list[int]]:
@@ -122,28 +152,15 @@ def transfer_walk(s: int, length: int) -> tuple[list[int], list[int]]:
 
     One two-loop vertex step multiplies the state by the order-(s+1)
     transfer matrix B.  Returns (traces, moments) with
-    traces[r] = trace(B^r), the ring walk from each start value b0 read
-    at state[b0], and moments[r] = u^T B^r u for the all-ones u, one line
-    walk read as the state sum, for r = 0..length.  That is
-    (s + 2) * length steps of O(s) each.
+    traces[r] = trace(B^r), the prefixes of the ring walk, and
+    moments[r] = u^T B^r u for the all-ones u, the prefixes of the line
+    walk, for r = 0..length.  That is (s + 2) * length steps of O(s)
+    each.
     """
     if s < 0 or length < 0:
         raise ValueError("arguments must be nonnegative")
-
-    def walk(state: list[int], read: Callable[[list[int]], int]) -> list[int]:
-        values = [read(state)]
-        for _ in range(length):
-            state = _step(state, 2)
-            values.append(read(state))
-        return values
-
-    traces = [0] * (length + 1)
-    for b0 in range(s + 1):
-        start = [0] * (s + 1)
-        start[b0] = 1
-        for r, value in enumerate(walk(start, itemgetter(b0))):
-            traces[r] += value
-    return traces, walk([1] * (s + 1), sum)
+    loops = (2,) * length
+    return list(_ring_walk(loops, s)), list(map(sum, _line_walk(loops, s)))
 
 
 # -- graph description and the enumeration oracle ----------------------------
@@ -204,11 +221,12 @@ class GraphSpec:
         """Fast DP count for this instance."""
         if self.kind == "cycle":
             return count_cycle(self.n, self.loops, s)
+        # perfbench's spans and counters see the DP only through the public counters
         if len(set(self.loops)) <= 1:
             return count_line(self.n, self.loops[0] if self.loops else 0, s)
         if s < 0:
             raise ValueError("magic sum must be nonnegative")
-        return _count_chain(self.loops, s)
+        return sum(deque(_line_walk(self.loops, s), maxlen=1).pop())
 
     def incidence(self) -> tuple[int, list[list[int]]]:
         """Edge count and, per vertex, incident edge indices with multiplicity.

@@ -73,9 +73,13 @@ def _family(seed: tuple[Poly, ...]) -> Callable[[int], Poly]:
     def member(n: int) -> Poly:
         if n < 0:
             raise ValueError("index must be nonnegative")
-        if n < 4:
-            return seed[n]
-        return _signature_step(member, n)
+        # The cache holds the members below its size: a miss first fills
+        # in every lower member, in increasing order, so each of those
+        # calls and the step below find their operands cached and no call
+        # nests more than one level deep.
+        for lower in range(member.cache_info().currsize, n):
+            member(lower)
+        return seed[n] if n < 4 else _signature_step(member, n)
 
     return member
 

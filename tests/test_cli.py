@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,32 @@ def test_count_brute_cap_defaults_to_ten_edges(capsys):
     assert code == 3
     assert out == ""
     assert "11 edge variables at s=0 exceeds caps (10, 8)" in err
+
+
+def test_count_over_dp_budget_exits_three_before_any_work(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--line", "-n", "1", "-m", "6000", "--s-max", "4000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "argument --s-max:" in err and "work budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, cells",
+    [
+        # (2 loops + 1 vertex) * (1 + 4 + 9 + 16) ring cells
+        (("count", "--cycle", "-n", "1", "-k", "2", "--s-max", "3"), 90),
+        # (2 loops + 2 vertices) * (1 + 2 + 3) line cells
+        (("count", "--line", "-n", "2", "-m", "1", "--s-max", "2"), 24),
+    ],
+)
+def test_count_dp_budget_boundary(capsys, monkeypatch, argv, cells):
+    monkeypatch.setattr(labelings, "MAX_DP_CELLS", cells)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(labelings, "MAX_DP_CELLS", cells - 1)
+    assert run(capsys, *argv)[0] == 3
+    assert run(capsys, *argv, "--brute")[0] == 0, "the enumeration has its own caps"
 
 
 def test_count_bad_loop_vector_is_usage_error(capsys):
@@ -383,6 +410,29 @@ def test_series_by_vertex_count(capsys):
     code, out, _ = run(capsys, "series", "--cycle", "-s", "4", "--order", "1", "--format", "csv")
     assert code == 0
     assert out.splitlines()[1:] == ["0,5", "1,9"]
+
+
+@pytest.fixture
+def cold_families():
+    for family in (recurrences.gf_numerator, recurrences.gf_denominator):
+        family.cache_clear()
+    yield
+    for family in (recurrences.gf_numerator, recurrences.gf_denominator):
+        family.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "shape, expected",
+    [("--line", ["341", "6666891", "233934538299"]), ("--cycle", ["341", "29241", "1140038361"])],
+)
+def test_series_by_vertex_count_at_a_large_magic_sum(capsys, cold_families, shape, expected):
+    code, out, err = run(capsys, "series", shape, "-s", "340", "--order", "2", "--format", "csv")
+    assert code == 0, err
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == expected
+    if shape == "--line":
+        assert expected == [str(labelings.count_line(n, 2, 340)) for n in range(3)]
+    else:
+        assert expected == [str(labelings.count_cycle(n, (2,) * n, 340)) for n in range(3)]
 
 
 def test_series_by_magic_sum(capsys):

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magiccount.labelings import (
+    _line_walk,
+    _ring_walk,
     CountTable,
     GraphSpec,
     InstanceTooLarge,
@@ -16,9 +18,10 @@ from magiccount.labelings import (
     brute_force_count,
     count_cycle,
     count_line,
+    loop_ways,
     transfer_walk,
 )
-from magiccount.matrices import transfer_matrix
+from magiccount.matrices import Matrix, transfer_matrix
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 5])
@@ -230,6 +233,20 @@ def test_walk_traces_and_moments_match_dense_powers(s):
     powers = [transfer_matrix(s).power(r) for r in range(length + 1)]
     assert traces == [p.trace() for p in powers]
     assert moments == [p.entry_sum() for p in powers]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=5),
+    st.integers(min_value=0, max_value=6),
+)
+def test_prefix_walks_match_dense_products(loops, s):
+    products = [Matrix.identity(s + 1)]
+    for k in loops:
+        kernel = Matrix([[loop_ways(s - i - j, k) for j in range(s + 1)] for i in range(s + 1)])
+        products.append(products[-1] @ kernel)
+    assert list(_ring_walk(loops, s)) == [p.trace() for p in products]
+    assert [sum(state) for state in _line_walk(loops, s)] == [p.entry_sum() for p in products]
 
 
 def test_walk_rejects_negative_arguments():

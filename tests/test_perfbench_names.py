@@ -8,6 +8,7 @@ nor depends on the benchmark itself.
 """
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -53,3 +54,15 @@ def test_benchmark_target_is_a_public_library_function(target):
     module = importlib.import_module(f"magiccount.{layer}")
     assert not attr.startswith("_"), "perfbench wraps public functions only"
     assert callable(getattr(module, attr, None)), f"magiccount.{layer} has no {attr}"
+
+
+@pytest.mark.parametrize("name", ["gf_numerator", "gf_denominator"])
+def test_recurrence_families_keep_the_cache_the_benchmark_reads(name):
+    # launch.py reads cache_info() of both families after every traced job,
+    # and tracing wraps only plain functions and lru_cache wrappers
+    # that the layer itself defines.
+    family = getattr(importlib.import_module("magiccount.recurrences"), name)
+    assert isinstance(family, functools._lru_cache_wrapper)
+    assert family.__module__ == "magiccount.recurrences"
+    hits, misses, _maxsize, _currsize = family.cache_info()
+    assert hits >= 0 and misses >= 0
