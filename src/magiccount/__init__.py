@@ -82,6 +82,53 @@ _EXPORTS = {
     ),
 }
 
+
+class _Record:
+    """An immutable value whose fields are the names its class annotates, in order.
+
+    Fields are passed positionally or by keyword, each once.  Records of one class
+    compare and hash as their field tuple, never equal another object, and refuse
+    every assignment; a subclass's own ``__init__`` uses ``vars(self).update``.
+
+    >>> class Point(_Record):
+    ...     x: int
+    ...     y: int
+    >>> p = Point(1, y=2)
+    >>> p, p == Point(1, 2), p == (1, 2), hash(p) == hash((1, 2))
+    (Point(x=1, y=2), True, False, True)
+    >>> p.x = 3
+    Traceback (most recent call last):
+    AttributeError: cannot assign to field 'x'
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {self._fields}, one value each")
+        vars(self).update(values)
+
+    def _key(self) -> tuple:
+        return tuple(map(vars(self).__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._key()))})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 _HOME = {name: layer for layer, names in _EXPORTS.items() for name in names}
 
 

@@ -132,27 +132,6 @@ def _parse_loops(text: str, n: int) -> tuple[int, ...]:
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _check_count_size(spec: labelings.GraphSpec, s_max: int) -> None:
-    """Refuse a DP table the work budget cannot take, before any work.
-
-    Each vertex step with k loops touches (k + 1)(s + 1) state cells, once
-    per start value on a ring, so the table for s = 0..S costs
-    (sum of k + n) * sum over s of (s + 1)^e cells, e = 1 for a line and
-    e = 2 for a ring.
-    """
-    passes = sum(spec.loops) + spec.n
-    if spec.kind == "line":
-        cells_per_pass = (s_max + 1) * (s_max + 2) // 2
-    else:
-        cells_per_pass = (s_max + 1) * (s_max + 2) * (2 * s_max + 3) // 6
-    cells = passes * cells_per_pass
-    if cells > labelings.MAX_DP_CELLS:
-        raise labelings.InstanceTooLarge(
-            f"argument --s-max: counting the {spec.kind} with n={spec.n} up to s={s_max} "
-            f"exceeds the work budget ({cells} DP state cells, more than {labelings.MAX_DP_CELLS})"
-        )
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     if args.line:
         if args.loops is not None:
@@ -170,7 +149,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
         }
         table = labelings.CountTable(spec, counts)
     else:
-        _check_count_size(spec, args.s_max)
+        cells = spec.dp_cells(args.s_max)
+        if cells > labelings.MAX_DP_CELLS:
+            raise labelings.InstanceTooLarge(
+                f"argument --s-max: counting the {spec.kind} with n={spec.n} up to s={args.s_max} exceeds the work "
+                f"budget ({cells} DP cells times 64-bit label words, more than {labelings.MAX_DP_CELLS})"
+            )
         table = labelings.CountTable.compute(spec, s_values)
     if args.format == "json":
         sys.stdout.write(_json_dump(table.to_json_obj()) + "\n")

@@ -20,11 +20,11 @@ t = -1, an independent route that must land on the predicted constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from . import _Record
 from .labelings import count_cycle, count_line
 from .matrices import solve_exact
 from .poly import Poly, coeff_to_str, series_poly_product, series_quotient
@@ -71,8 +71,7 @@ def cycle_series(n: int, loops: Sequence[int], order: int) -> list[int]:
 # -- numerator tables ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumeratorReport:
+class NumeratorReport(_Record):
     """Numerator of a magic-sum generating function after pole clearing."""
 
     kind: str  # "line" or "cycle"
@@ -80,7 +79,6 @@ class NumeratorReport:
     one_minus_x_power: int
     has_one_plus_x: bool
     numerator: Poly
-    order: int
 
     def coefficients(self) -> tuple[int, ...]:
         return self.numerator.coeffs
@@ -146,21 +144,14 @@ def ehrhart_numerator(kind: str, n: int, order: int | None = None) -> NumeratorR
         series: list[int] = [count_line(n, 2, s) for s in range(order + 1)]
     else:
         series = [count_cycle(n, (2,) * n, s) for s in range(order + 1)]
-    return NumeratorReport(
-        kind=kind,
-        n=n,
-        one_minus_x_power=power,
-        has_one_plus_x=plus,
-        numerator=clear_poles(series, factor),
-        order=order,
-    )
+    numerator = clear_poles(series, factor)
+    return NumeratorReport(kind=kind, n=n, one_minus_x_power=power, has_one_plus_x=plus, numerator=numerator)
 
 
 # -- quasi-polynomial fitting --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiPoly:
+class QuasiPoly(_Record):
     """h(s) = phi(s) + (-1)^s psi with phi polynomial, psi constant."""
 
     phi: tuple[Fraction, ...]  # coefficients of phi, ascending degree

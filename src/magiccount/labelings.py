@@ -40,13 +40,14 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import accumulate, repeat
-from math import comb
+from math import comb, floor, log2
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from . import _Record
 
-#: Work budget of the ``count`` command's DP table, in state cells (see
-#: ``cli._check_count_size``).  A cell of small labels costs tens of
-#: nanoseconds, so such a table at the budget takes a few seconds.
+
+#: Work budget of the ``count`` command's DP table, in ``GraphSpec.dp_cells`` units: a cell
+#: of one-word labels costs tens of nanoseconds, so a table at the budget takes seconds.
 MAX_DP_CELLS = 10**8
 
 
@@ -166,7 +167,7 @@ def transfer_walk(s: int, length: int) -> tuple[list[int], list[int]]:
 # -- graph description and the enumeration oracle ----------------------------
 
 
-class GraphSpec:
+class GraphSpec(_Record):
     """A pseudo-line or pseudo-cycle instance with per-vertex loop counts.
 
     Immutable and hashable; validated on construction.
@@ -189,26 +190,6 @@ class GraphSpec:
             raise ValueError("loop counts must be nonnegative")
         vars(self).update(kind=kind, n=n, loops=loops)
 
-    def _key(self) -> tuple[str, int, tuple[int, ...]]:
-        return self.kind, self.n, self.loops
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"GraphSpec(kind={self.kind!r}, n={self.n!r}, loops={self.loops!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
     @staticmethod
     def line(n: int, m: int) -> GraphSpec:
         return GraphSpec("line", n, (m,) * n)
@@ -227,6 +208,30 @@ class GraphSpec:
         if s < 0:
             raise ValueError("magic sum must be nonnegative")
         return sum(deque(_line_walk(self.loops, s), maxlen=1).pop())
+
+    def label_bits(self, s: int) -> int:
+        """Bit length of a bound on every label, count included, of the DP at magic sum s.
+
+        T_k has largest row sum C(s + k, k) and the walks start from ones, so a
+        label is at most the product of these over the vertices, and a count,
+        a sum of s + 1 labels, s + 1 times that.
+        """
+        return floor(log2(s + 1) + sum(self.loops.count(k) * log2(comb(s + k, k)) for k in set(self.loops))) + 1
+
+    def dp_cells(self, s_max: int) -> int:
+        """Work of the DP table for s = 0..s_max, in state cells times 64-bit words per label.
+
+        A vertex with k loops touches (k + 1)(s + 1) cells, once per start
+        value on a ring, so the table has (sum of k + n) * sum over s of
+        (s + 1)^e cells, e = 1 for a line and 2 for a ring.  Each cell adds
+        labels of up to ``label_bits(s_max)`` bits, a 64-bit word at a time.
+        """
+        passes = sum(self.loops) + self.n
+        if self.kind == "line":
+            cells_per_pass = (s_max + 1) * (s_max + 2) // 2
+        else:
+            cells_per_pass = (s_max + 1) * (s_max + 2) * (2 * s_max + 3) // 6
+        return passes * cells_per_pass * -(-self.label_bits(s_max) // 64)
 
     def incidence(self) -> tuple[int, list[list[int]]]:
         """Edge count and, per vertex, incident edge indices with multiplicity.

@@ -67,10 +67,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self.rows]!r})"
 
-    def __str__(self) -> str:
-        width = max((len(str(e)) for row in self.rows for e in row), default=1)
-        return "\n".join(" ".join(str(e).rjust(width) for e in row) for row in self.rows)
-
     def __matmul__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -26,10 +26,10 @@ away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
+from . import _Record
 from .labelings import transfer_walk
 from .matrices import char_poly, det_from_power_sums, mirror_tridiagonal, transfer_inverse
 from .poly import Poly, series_poly_product
@@ -121,8 +121,7 @@ def _transfer_pair(n: int) -> tuple[Poly, Poly]:
 # -- the identity catalog -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(_Record):
     """One certified identity: produces (lhs, rhs) pairs at index n."""
 
     identity_id: str
@@ -257,15 +256,13 @@ def _catalog() -> dict[str, Identity]:
 CATALOG: dict[str, Identity] = _catalog()
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(_Record):
     index: int
     holds: bool
     diff: Optional[Poly]  # lhs - rhs when the check fails
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     identity_id: str
     start: int
     stop: int

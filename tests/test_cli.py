@@ -72,6 +72,16 @@ def test_count_over_dp_budget_exits_three_before_any_work(capsys):
     assert "argument --s-max:" in err and "work budget" in err
 
 
+def test_count_budget_counts_label_words(capsys):
+    # 9.5e7 cells, under the budget, but labels of up to 14,957 bits each
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--line", "-n", "1000", "-m", "2", "--s-max", "250")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "argument --s-max:" in err and "work budget" in err
+
+
 @pytest.mark.parametrize(
     "argv, cells",
     [

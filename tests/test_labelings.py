@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from magiccount.labelings import (
     _line_walk,
     _ring_walk,
+    _step,
     CountTable,
     GraphSpec,
     InstanceTooLarge,
@@ -253,3 +254,29 @@ def test_walk_rejects_negative_arguments():
     for args in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):
             transfer_walk(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=12),
+)
+def test_label_bits_bound_every_label_of_both_walks(loops, s):
+    line, ring = GraphSpec("line", len(loops), tuple(loops)), GraphSpec.cycle(len(loops), loops)
+    bits = ring.label_bits(s)
+    assert line.label_bits(s) == bits, "the bound reads only the loops and s"
+    labels = [max(state) for state in _line_walk(loops, s)]
+    rows = [[int(b == b0) for b in range(s + 1)] for b0 in range(s + 1)]
+    for k in loops:
+        rows = [_step(row, k) for row in rows]
+        labels.append(max(map(max, rows)))
+    labels += [line.count(s), ring.count(s)]
+    assert max(labels).bit_length() <= bits
+
+
+def test_dp_cells_count_label_words():
+    spec = GraphSpec.line(1000, 2)
+    # the bound is 1000 log2 C(252, 2) + log2 251 = 14,956.8 bits, 234 words
+    assert spec.label_bits(250) == 14957
+    assert spec.dp_cells(250) == 3000 * (251 * 252 // 2) * 234
+    assert GraphSpec.cycle(1, (2,)).dp_cells(3) == 90, "labels of one word cost one cell"

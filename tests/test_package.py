@@ -10,12 +10,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import magiccount
-from magiccount import cli, recurrences
+from magiccount import cli, genfun, recurrences
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ("cli", "labelings", "genfun", "recurrences", "matrices", "poly", "polytope")
@@ -56,6 +57,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
         (PROBE, {"cli", "labelings"}),
         (("polytope", "-n", "5"), {"cli", "poly", "polytope"}),
         (("polytope", "-n", "5", "--format", "json"), {"cli", "poly", "polytope"}),
+        (("verify", "--n-max", "5"), {"cli", "labelings", "matrices", "poly", "recurrences"}),
+        (("fit", "-n", "3", "-k", "1"), {"cli", "genfun", "labelings", "matrices", "poly", "recurrences"}),
     ],
 )
 def test_a_command_executes_only_the_layers_it_uses(argv, executed):
@@ -121,3 +124,63 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         magiccount.no_such_name  # noqa: B018
     assert not hasattr(magiccount, "count_cycles")
+
+
+# -- the frozen value classes of genfun and recurrences --------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, repr_head",
+    [
+        (
+            lambda: genfun.ehrhart_numerator("line", 1),
+            "NumeratorReport(kind='line', n=1, one_minus_x_power=4, has_one_plus_x=False,"
+            " numerator=Poly('1')",
+        ),
+        (
+            lambda: genfun.QuasiPoly(phi=(Fraction(1), Fraction(1, 2)), psi=Fraction(1, 8), degree=1),
+            "QuasiPoly(phi=(Fraction(1, 1), Fraction(1, 2)), psi=Fraction(1, 8), degree=1)",
+        ),
+        (
+            lambda: recurrences.CATALOG["inv-eq-mirror1"],
+            "Identity(identity_id='inv-eq-mirror1', min_index=1, description='char(inv_n) = char(mirror1_n)',"
+            " sides=<function ",
+        ),
+        (
+            lambda: recurrences.IdentityCheck(index=3, holds=False, diff=recurrences.Y),
+            "IdentityCheck(index=3, holds=False, diff=Poly('y'))",
+        ),
+        (
+            lambda: recurrences.verify_identity("inv-eq-mirror1", stop=1),
+            "IdentityReport(identity_id='inv-eq-mirror1', start=1, stop=1,"
+            " checks=(IdentityCheck(index=1, holds=True, diff=None),))",
+        ),
+    ],
+    ids=["NumeratorReport", "QuasiPoly", "Identity", "IdentityCheck", "IdentityReport"],
+)
+def test_value_class_is_a_frozen_record(make, repr_head):
+    record = make()
+    cls = type(record)
+    fields = tuple(cls.__annotations__)
+    values = tuple(getattr(record, name) for name in fields)
+    assert cls(*values) == record == cls(**dict(zip(fields, values))) == make()
+    assert record != values and not record == values, "a record never equals a tuple"
+    assert cls(*values[:-1], object()) != record
+    assert hash(record) == hash(values) == hash(make())
+    assert repr(record).startswith(repr_head)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{fields[0]}'"):
+        setattr(record, fields[0], values[0])
+    with pytest.raises(AttributeError, match=f"cannot delete field '{fields[-1]}'"):
+        delattr(record, fields[-1])
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        record.extra = 1
+    assert getattr(record, fields[0]) == values[0]
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(**dict(zip(fields[1:], values[1:])))
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
